@@ -6,7 +6,6 @@ determinants) and a point-enumeration oracle; plus Newton polygon and
 slope-structure analysis of the resulting characteristic series.
 """
 
-from .dwork import NuclearMatrix, assemble_matrix, theta0_apply, theta1_apply
 from .errors import (
     BudgetError,
     CertificateError,
@@ -14,74 +13,34 @@ from .errors import (
     TadicError,
     UsageError,
 )
-from .fredholm import (
-    FredholmSeries,
-    LFunctionSeries,
-    char_series,
-    l_from_traces,
-    l_trace_formula,
-    power_traces,
-)
 from .pipeline import (
     run_compare,
     run_selfcheck,
     run_slopes,
     run_trace_formula,
 )
-from .pointcount import ExpSumReport, exp_sum, oracle_lfun
+from .pointcount import oracle_lfun
 from .profile import PrecisionProfile
-from .series import artin_hasse, pi_from_T, series_exp, series_log
-from .slopes import NewtonPolygon, SlopeReport, newton_polygon, slope_decomposition
-from .splitting import SplittingFunction, TowerInput, build_Ef, splitting_factor
-from .unramified import UnramifiedApprox, teichmuller_lift, unramified_trace
-from .xseries import Geometry, XSeries, xseries_mul
-from .zp import ZpApprox, ZpTSeries, one_plus_T_pow
+from .series import pi_from_T
+from .splitting import TowerInput, build_Ef
+from .xseries import Geometry
 
 __all__ = [
     "BudgetError",
     "CertificateError",
-    "ExpSumReport",
-    "FredholmSeries",
     "Geometry",
-    "LFunctionSeries",
-    "NewtonPolygon",
-    "NuclearMatrix",
     "PrecisionError",
     "PrecisionProfile",
-    "SlopeReport",
-    "SplittingFunction",
     "TadicError",
     "TowerInput",
-    "UnramifiedApprox",
     "UsageError",
-    "XSeries",
-    "ZpApprox",
-    "ZpTSeries",
-    "artin_hasse",
-    "assemble_matrix",
     "build_Ef",
-    "char_series",
-    "exp_sum",
-    "l_from_traces",
-    "l_trace_formula",
-    "newton_polygon",
-    "one_plus_T_pow",
     "oracle_lfun",
     "pi_from_T",
-    "power_traces",
     "run_compare",
     "run_selfcheck",
     "run_slopes",
     "run_trace_formula",
-    "series_exp",
-    "series_log",
-    "slope_decomposition",
-    "splitting_factor",
-    "teichmuller_lift",
-    "theta0_apply",
-    "theta1_apply",
-    "unramified_trace",
-    "xseries_mul",
 ]
 
 __version__ = "0.1.0"

@@ -81,9 +81,11 @@ class JobConfig:
             self.smax, self.dmax = int(smax), int(dmax)
             self.D = None if D in (None, "auto") else int(D)
             self.guard = None if guard in (None, "auto") else int(guard)
+            self.block_degree = None if block_degree in (None, "auto") else int(block_degree)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad numeric field: {exc}") from exc
-        self.block_degree = None if block_degree in (None, "auto") else int(block_degree)
+        if self.block_degree is not None and self.block_degree < 1:
+            raise UsageError(f"block_degree must be >= 1, got {self.block_degree}")
         self.out = out
         self.tower = TowerInput(self.p, self.geometry, self.f)
         try:

@@ -11,16 +11,22 @@ In the monomial bases they are index maps:
 These closed forms are validated against an independent oracle that
 computes the trace of the multiplication matrix of the degree-p subring
 extension in exact rational arithmetic (`theta0_trace_oracle`,
-`theta1_trace_oracle`); the matrix assembly refuses to run if the two
-disagree on low monomials.
+`theta1_trace_oracle`); every matrix assembly first checks that the two
+agree on low monomials.
 
 The nuclear operator of a tower is psi_i = theta_i composed with
-multiplication by the splitting function; `assemble_matrix` produces its
-matrix in the plain monomial basis, where entry (v, u) inherits the
-T-adic decay of the splitting function.  The weighted-basis bound (weight
-parameter c) is recorded and checked as a certificate but the entries are
-stored unweighted; the finite principal minors of the two presentations
-are similar, so every Fredholm determinant is unchanged.
+multiplication by the splitting function E_f.  Writing u' for the
+function-space exponent of a basis element (u + 1 for differentials on
+the affine line, u otherwise), the index maps give
+
+    entry (v, u) of psi_i = (p if i = 0 else 1) * E_f[p v' - u'],
+
+so `assemble_matrix` fills the matrix in the plain monomial basis by
+looking up coefficients of E_f; each entry inherits the T-adic decay of
+the splitting function.  The weighted-basis bound (weight parameter c) is
+recorded and checked as a certificate but the entries are stored
+unweighted; the finite principal minors of the two presentations are
+similar, so every Fredholm determinant is unchanged.
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ def theta0_trace_oracle(p: int, u: int) -> dict[int, int]:
     out = {}
     for q, c in _subring_trace(p, u).items():
         if c:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise CertificateError("function trace not integral")
             out[q] = int(c)
     return out
 
@@ -111,29 +118,25 @@ def theta1_trace_oracle(p: int, u: int, geometry: Geometry) -> dict[int, int]:
 
 def verify_theta_formulas(prof: PrecisionProfile, geometry: Geometry) -> None:
     """Build gate: the index formulas must agree with the rational trace
-    oracle on all monomials |u| <= 3p."""
+    oracle on all monomials |u| <= 3p, both sides reduced mod p^a with
+    vanishing terms dropped."""
     p = prof.p
+    m = p ** prof.a
     bound = 3 * p + 1
     lo = 0 if geometry is Geometry.AFFINE_LINE else -3 * p
-    for u in range(lo, 3 * p + 1):
-        g = XSeries.monomial(prof, geometry, bound, u)
-        got = {e: c for e, c in theta0_apply(g).coeffs.items()}
-        want = theta0_trace_oracle(p, u)
-        got_ints = {e: c.vals[0] % prof.p ** prof.a for e, c in got.items()}
-        want_ints = {e: c % prof.p ** prof.a for e, c in want.items() if c % prof.p ** prof.a}
-        if got_ints != want_ints:
+
+    def reduced(terms: dict[int, int]) -> dict[int, int]:
+        return {e: c % m for e, c in terms.items() if c % m}
+
+    def applied(theta, u: int, differential: bool) -> dict[int, int]:
+        g = XSeries.monomial(prof, geometry, bound, u, differential=differential)
+        return reduced({e: c.vals[0] for e, c in theta(g).coeffs.items()})
+
+    for u in range(lo, bound):
+        if applied(theta0_apply, u, False) != reduced(theta0_trace_oracle(p, u)):
             raise CertificateError(f"theta0 disagrees with trace oracle at u={u}")
-        hi_range = bound - 1 if geometry is Geometry.AFFINE_LINE else bound
-        if (geometry is Geometry.AFFINE_LINE and 0 <= u <= hi_range) or \
-           (geometry is Geometry.TORUS and lo <= u <= hi_range):
-            gd = XSeries.monomial(prof, geometry, bound, u, differential=True)
-            gotd = {e: c.vals[0] % prof.p ** prof.a
-                    for e, c in theta1_apply(gd).coeffs.items()}
-            wantd = {e: c % prof.p ** prof.a
-                     for e, c in theta1_trace_oracle(p, u, geometry).items()
-                     if c % prof.p ** prof.a}
-            if gotd != wantd:
-                raise CertificateError(f"theta1 disagrees with trace oracle at u={u}")
+        if applied(theta1_apply, u, True) != reduced(theta1_trace_oracle(p, u, geometry)):
+            raise CertificateError(f"theta1 disagrees with trace oracle at u={u}")
 
 
 # matrices -------------------------------------------------------------------
@@ -179,46 +182,30 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D (dx/x twisted for i = 1)
 
 
-_VERIFIED: set[tuple[int, str]] = set()
-
-
 def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> NuclearMatrix:
-    """Matrix of psi_i over the monomial basis, built column by column by
-    applying theta_i to E_f times the basis element.  Verifies the theta
-    formulas against the rational trace oracle once per (p, geometry),
-    the mod-T degeneration, and the T-adic decay certificate."""
+    """Matrix of psi_i over the monomial basis, each entry looked up as
+    (p or 1) * E_f[p v' - u'].  Runs the theta gate against the rational
+    trace oracle first, then checks the mod-T degeneration and the T-adic
+    decay certificate."""
     if i not in (0, 1):
         raise ValueError("degree index must be 0 or 1")
     geometry = ef.series.geometry
-    key = (prof.p, geometry.value)
-    if key not in _VERIFIED:
-        verify_theta_formulas(prof, geometry)
-        _VERIFIED.add(key)
+    verify_theta_formulas(prof, geometry)
 
     D = prof.D
     if D < prof.p:
         raise ValueError("degree bound too small: need D >= p")
     offset, size = basis_exponents(geometry, i, D)
-    # working window for products: theta pulls back from exponents up to
-    # p * D, and the splitting function's own support must fit
-    window = max(prof.p * D, ef.series.bound, D) + 1
-    wide_zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
-
-    ef_wide = XSeries(prof, geometry, window,
-                      {u: c for u, c in ef.series.coeffs.items()},
-                      differential=False)
-
-    cols: list[list[ZpTSeries]] = []
-    for col in range(size):
-        u = offset + col
-        mono = XSeries.monomial(prof, geometry, window, u, differential=(i == 1))
-        image = theta0_apply(ef_wide * mono) if i == 0 else theta1_apply(ef_wide * mono)
-        colv = []
-        for row in range(size):
-            v = offset + row
-            colv.append(image.coeffs.get(v, wide_zero))
-        cols.append(colv)
-    entries = [[cols[u][v] for u in range(size)] for v in range(size)]
+    zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
+    # the nonzero coefficients of E_f, with theta0's factor p applied
+    table = {}
+    for j, c in ef.series.coeffs.items():
+        c = c.scale(prof.p) if i == 0 else c
+        if not c.is_zero():
+            table[j] = c
+    shift = 1 if i == 1 and geometry is Geometry.AFFINE_LINE else 0
+    exps = [offset + k + shift for k in range(size)]
+    entries = [[table.get(prof.p * v - u, zero) for u in exps] for v in exps]
 
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),
                         basis_offset=offset, geometry=geometry, prof=prof)

@@ -17,9 +17,10 @@ separate so they can cross-check each other:
   * `power_traces` computes tr(M^d) by iterated matrix products, and
     `l_from_traces` assembles exp(-sum S_d s^d / d).
 
-T-series multiplications inside the matrix work are Kronecker-packed:
-a coefficient vector becomes one big integer with guard bits sized so a
-whole row-times-column accumulation cannot overflow a limb.
+Both routes pack the matrix once with the Kronecker packer of `zp`: a
+coefficient vector becomes one big integer whose limbs have room for a
+whole row-times-column accumulation, so each matrix-vector step is a
+sum of big-integer products followed by one limb reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .dwork import NuclearMatrix
 from .errors import CertificateError
-from .zp import ZpTSeries, ppow
+from .zp import Packer, ZpTSeries, packer
 
 
 @dataclass(frozen=True)
@@ -75,85 +76,15 @@ class LFunctionSeries:
         return min(min(c.prec) for c in self.coeffs)
 
 
-# packed matrix helpers -------------------------------------------------------
-
-class _Packed:
-    """A square matrix of T-series flattened to Kronecker-packed ints."""
-
-    __slots__ = ("p", "b", "w", "m", "beta", "mask", "rows", "n")
-
-    def __init__(self, mat: NuclearMatrix):
-        entries = mat.entries
-        self.n = len(entries)
-        first = entries[0][0]
-        self.p, self.b = first.p, first.b
-        w = first.uniform_prec()
-        if w is None:
-            raise CertificateError("matrix entries must carry uniform precision")
-        self.w = w
-        self.m = ppow(self.p, w)
-        # headroom: a limb may accumulate n full row-column convolutions
-        top = self.b * max(self.n, 1) * (self.m - 1) ** 2
-        self.beta = top.bit_length() + 1
-        self.mask = (1 << self.beta) - 1
-        self.rows = [[self._pack(e) for e in row] for row in entries]
-
-    def _pack(self, s: ZpTSeries) -> int:
-        acc = 0
-        for j in range(self.b - 1, -1, -1):
-            acc = (acc << self.beta) | (s.vals[j] % self.m)
-        return acc
-
-    def _renorm(self, acc: int) -> int:
-        out = 0
-        for j in range(self.b - 1, -1, -1):
-            out = (out << self.beta) | (((acc >> (self.beta * j)) & self.mask) % self.m)
-        return out
-
-    def unpack(self, acc: int) -> ZpTSeries:
-        vals = [((acc >> (self.beta * j)) & self.mask) % self.m for j in range(self.b)]
-        return ZpTSeries(self.p, self.b, vals, (self.w,) * self.b)
-
-    def submatrix_vec(self, k: int, vec: list[int]) -> list[int]:
-        """(M_k v) with renormalized limbs."""
-        rows = self.rows
-        out = []
-        for i in range(k):
-            row = rows[i]
-            acc = 0
-            for j in range(k):
-                x = vec[j]
-                if x:
-                    acc += row[j] * x
-            out.append(self._renorm(acc))
-        return out
-
-    def row_dot(self, i: int, k: int, vec: list[int]) -> int:
-        row = self.rows[i]
-        acc = 0
-        for j in range(k):
-            x = vec[j]
-            if x:
-                acc += row[j] * x
-        return self._renorm(acc)
-
-    def matmul(self, other_rows: list[list[int]]) -> list[list[int]]:
-        n = self.n
-        cols = [[other_rows[i][j] for i in range(n)] for j in range(n)]
-        out = []
-        for i in range(n):
-            row = self.rows[i]
-            orow = []
-            for j in range(n):
-                col = cols[j]
-                acc = 0
-                for t in range(n):
-                    x = row[t]
-                    if x:
-                        acc += x * col[t]
-                orow.append(self._renorm(acc))
-            out.append(orow)
-        return out
+def _packed_rows(M: NuclearMatrix) -> tuple[Packer, list[list[int]]]:
+    """The matrix with every entry packed, and the packer, whose limbs
+    hold a whole row-times-column accumulation of length N."""
+    first = M.entries[0][0]
+    w = first.uniform_prec()
+    if w is None:
+        raise CertificateError("matrix entries must carry uniform precision")
+    pk = packer(first.p, first.b, w, M.size)
+    return pk, [[pk.pack(e) for e in row] for row in M.entries]
 
 
 def _poly_mul_trunc(a: list[ZpTSeries], t: list[ZpTSeries], smax: int) -> list[ZpTSeries]:
@@ -172,19 +103,19 @@ def _poly_mul_trunc(a: list[ZpTSeries], t: list[ZpTSeries], smax: int) -> list[Z
 
 def char_series(M: NuclearMatrix, smax: int) -> FredholmSeries:
     """det(1 - s M) mod s^(smax+1), division free."""
-    pk = _Packed(M)
-    p, b, w = pk.p, pk.b, pk.w
-    one = ZpTSeries.one(p, b, w)
-    zero = ZpTSeries.zero(p, b, w)
+    pk, rows = _packed_rows(M)
+    one = ZpTSeries.one(pk.p, pk.b, pk.w)
+    zero = ZpTSeries.zero(pk.p, pk.b, pk.w)
     result = [one] + [zero] * smax
-    for k in range(pk.n):
-        factor = [one, -pk.unpack(pk.rows[k][k])]
+    for k in range(M.size):
+        factor = [one, -pk.unpack(rows[k][k])]
         if k > 0 and smax >= 2:
-            vec = [pk.rows[i][k] for i in range(k)]   # the bordering column
+            vec = [rows[i][k] for i in range(k)]   # the bordering column
             for j in range(smax - 1):
-                factor.append(-pk.unpack(pk.row_dot(k, k, vec)))
+                # zip stops at len(vec) = k: the leading k x k block
+                factor.append(-pk.unpack(pk.dot(rows[k], vec)))
                 if j < smax - 2:
-                    vec = pk.submatrix_vec(k, vec)
+                    vec = [pk.dot(rows[i], vec) for i in range(k)]
         result = _poly_mul_trunc(result, factor, smax)
     out = FredholmSeries(tuple(result), provenance=f"psi_{M.degree_index}")
     out.assert_integral()
@@ -193,16 +124,15 @@ def char_series(M: NuclearMatrix, smax: int) -> FredholmSeries:
 
 def power_traces(M: NuclearMatrix, dmax: int) -> list[ZpTSeries]:
     """tr(M^d) for d = 1..dmax by repeated matrix products."""
-    pk = _Packed(M)
+    pk, rows = _packed_rows(M)
+    n = M.size
     traces = []
-    cur = pk.rows
+    cur = rows
     for _ in range(dmax):
-        acc = 0
-        for i in range(pk.n):
-            acc += cur[i][i]
-        traces.append(pk.unpack(pk._renorm(acc)))
+        traces.append(pk.unpack(pk.reduce(sum(cur[i][i] for i in range(n)))))
         if len(traces) < dmax:
-            cur = pk.matmul(cur)
+            cols = list(zip(*cur))
+            cur = [[pk.dot(row, col) for col in cols] for row in rows]
     return traces
 
 
@@ -248,7 +178,3 @@ def l_from_char_series(c0: FredholmSeries, c1: FredholmSeries) -> LFunctionSerie
     inv1 = series_inverse_in_s(c1.coeffs)
     out = _poly_mul_trunc(list(c0.coeffs), inv1, smax)
     return LFunctionSeries(tuple(out), route="trace-formula")
-
-
-def l_trace_formula(M0: NuclearMatrix, M1: NuclearMatrix, smax: int) -> LFunctionSeries:
-    return l_from_char_series(char_series(M0, smax), char_series(M1, smax))

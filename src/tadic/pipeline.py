@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .dwork import NuclearMatrix, assemble_matrix
+from .errors import CertificateError, PrecisionError, UsageError
 from .fredholm import (
     FredholmSeries,
     LFunctionSeries,
@@ -54,6 +55,8 @@ class TraceFormulaRun:
 
 
 def run_trace_formula(tower: TowerInput, prof: PrecisionProfile) -> TraceFormulaRun:
+    if tower.p != prof.p:
+        raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
     ef = build_Ef(tower, prof)
     m0 = assemble_matrix(ef, 0, prof)
     m1 = assemble_matrix(ef, 1, prof)
@@ -141,7 +144,7 @@ def run_slopes(tower: TowerInput, prof: PrecisionProfile,
     report, err = None, None
     try:
         report = slope_decomposition(npoly, d)
-    except Exception as exc:  # reported, the polygon itself is still returned
+    except PrecisionError as exc:  # reported, the polygon itself is still returned
         err = str(exc)
     hodge = hodge_bound_report(npoly, prof.p, d)
     return SlopeRun(trace=trace, polygon=npoly, report=report,
@@ -227,12 +230,12 @@ def run_selfcheck(tower: TowerInput, prof: PrecisionProfile) -> dict:
     try:
         artin_hasse_fractions(prof.p, 32)
         add("Artin-Hasse integrality", True)
-    except Exception as exc:
+    except CertificateError as exc:
         add("Artin-Hasse integrality", False, str(exc))
     try:
         run.c0.assert_integral()
         run.c1.assert_integral()
         add("Fredholm integrality", True)
-    except Exception as exc:
+    except CertificateError as exc:
         add("Fredholm integrality", False, str(exc))
     return {"ok": all(c["ok"] for c in checks), "checks": checks}

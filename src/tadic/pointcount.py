@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, CertificateError, UsageError
 from .fredholm import LFunctionSeries, l_from_traces
 from .profile import PrecisionProfile
 from .splitting import TowerInput
@@ -59,7 +59,7 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
         acc = acc + one_plus_T_pow(tr, prof)
     # at T = 0 every summand is 1
     if acc.vals[0] % p ** prof.a != count % p ** prof.a:
-        raise AssertionError("exponential sum does not count points at T = 0")
+        raise CertificateError("exponential sum does not count points at T = 0")
     return acc
 
 
@@ -80,6 +80,8 @@ def exp_sum_report(tower: TowerInput, prof: PrecisionProfile,
 
 def oracle_lfun(tower: TowerInput, prof: PrecisionProfile) -> tuple[LFunctionSeries, ExpSumReport]:
     """L-series of the tower assembled from enumerated exponential sums."""
+    if tower.p != prof.p:
+        raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
     if prof.dmax < prof.smax:
         raise UsageError("need dmax >= smax to assemble the oracle L-series")
     report = exp_sum_report(tower, prof)

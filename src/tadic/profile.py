@@ -50,7 +50,7 @@ def ceil_log(base: int, n: int) -> int:
 def default_guard(p: int, b: int, smax: int, dmax: int) -> int:
     """Guard digits covering every division the pipelines perform:
     v_p(b!) for binomial coefficients, plus enough for divisions by
-    k <= max(smax, dmax) in exp/log recurrences."""
+    k <= max(smax, dmax) in the exp recurrence of l_from_traces."""
     return vp_factorial(b, p) + ceil_log(p, max(smax, dmax))
 
 
@@ -93,10 +93,6 @@ class PrecisionProfile:
     def work(self) -> int:
         """Working p-adic precision (digits) for internal arithmetic."""
         return self.a + self.guard
-
-    @property
-    def work_modulus(self) -> int:
-        return self.p ** self.work
 
     @classmethod
     def create(

@@ -1,8 +1,6 @@
-"""Truncated power series over Z_p[[T]]: exp, log, the Artin-Hasse
-exponential, and the distinguished element pi with E(pi) = 1 + T.
+"""The Artin-Hasse exponential and the distinguished element pi of
+Z_p[[T]] with E(pi) = 1 + T.
 
-TSeriesPoly models a polynomial truncation of a series in one formal
-variable (t or s) whose coefficients live in Z_p[[T]] mod (p^w, T^b).
 The Artin-Hasse series is computed in exact rational arithmetic first and
 reduced afterwards, so no p-adic digits are lost and p-integrality of the
 result is a checkable certificate rather than an assumption.
@@ -10,86 +8,10 @@ result is a checkable certificate rather than an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, PrecisionError
 from .zp import ZpApprox, ZpTSeries, ppow
-
-
-@dataclass(frozen=True)
-class TSeriesPoly:
-    """Coefficients of a series in `var`, truncated at index `order`."""
-
-    var: str
-    coeffs: tuple[ZpTSeries, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> ZpTSeries:
-        return self.coeffs[k]
-
-    def _like(self, coeffs) -> "TSeriesPoly":
-        return TSeriesPoly(self.var, tuple(coeffs))
-
-    def __add__(self, other: "TSeriesPoly") -> "TSeriesPoly":
-        if self.var != other.var or self.order != other.order:
-            raise ValueError("mismatched series")
-        return self._like(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TSeriesPoly") -> "TSeriesPoly":
-        if self.var != other.var or self.order != other.order:
-            raise ValueError("mismatched series")
-        return self._like(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "TSeriesPoly") -> "TSeriesPoly":
-        if self.var != other.var or self.order != other.order:
-            raise ValueError("mismatched series")
-        n = self.order
-        out = [None] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            for j in range(n + 1 - i):
-                term = a * other.coeffs[j]
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        return self._like(out)
-
-
-def series_exp(g: TSeriesPoly, order: int | None = None) -> TSeriesPoly:
-    """exp of a series with zero constant term, by the derivative
-    recurrence k*h_k = sum_j (j*g_j) h_{k-j}.  Division by k costs
-    v_p(k) digits per step."""
-    if not g.coeffs[0].is_zero():
-        raise ValueError("series_exp requires zero constant term")
-    n = g.order if order is None else min(order, g.order)
-    p, b = g.coeffs[0].p, g.coeffs[0].b
-    w = max(max(c.prec) for c in g.coeffs)
-    h = [ZpTSeries.one(p, b, w)]
-    dg = [g.coeffs[j].scale(j) for j in range(n + 1)]
-    for k in range(1, n + 1):
-        acc = ZpTSeries.zero(p, b, w)
-        for j in range(1, k + 1):
-            acc = acc + dg[j] * h[k - j]
-        h.append(acc.divexact(k))
-    return TSeriesPoly(g.var, tuple(h + [ZpTSeries.zero(p, b, w)] * (g.order - n)))
-
-
-def series_log(g: TSeriesPoly, order: int | None = None) -> TSeriesPoly:
-    """log of a series with constant term 1; inverse of series_exp."""
-    c0 = g.coeffs[0]
-    if not (c0 - ZpTSeries.one(c0.p, c0.b, max(c0.prec))).is_zero():
-        raise ValueError("series_log requires constant term 1")
-    n = g.order if order is None else min(order, g.order)
-    p, b = c0.p, c0.b
-    w = max(max(c.prec) for c in g.coeffs)
-    ell = [ZpTSeries.zero(p, b, w)]
-    for k in range(1, n + 1):
-        acc = g.coeffs[k].scale(k)
-        for j in range(1, k):
-            acc = acc - ell[j].scale(j) * g.coeffs[k - j]
-        ell.append(acc.divexact(k))
-    return TSeriesPoly(g.var, tuple(ell + [ZpTSeries.zero(p, b, w)] * (g.order - n)))
 
 
 def artin_hasse_fractions(p: int, order: int) -> list[Fraction]:
@@ -129,18 +51,6 @@ def artin_hasse_units(prof, order: int) -> list[ZpApprox]:
         r = (c.numerator % m) * pow(c.denominator % m, -1, m) % m
         out.append(ZpApprox(p, r, w))
     return out
-
-
-def artin_hasse(prof, order: int) -> TSeriesPoly:
-    """The Artin-Hasse exponential E(t) mod (p^work, t^(order+1)),
-    with constant and linear coefficients both 1."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    units = artin_hasse_units(prof, order)
-    if units[0].residue != 1 or units[1].residue != 1:
-        raise CertificateError("Artin-Hasse series must start 1 + t + ...")
-    b = prof.b
-    return TSeriesPoly("t", tuple(ZpTSeries.from_scalar(u, b) for u in units))
 
 
 def _eval_poly_at_series(units: list[ZpApprox], x: ZpTSeries) -> ZpTSeries:

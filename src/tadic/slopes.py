@@ -74,27 +74,6 @@ def lower_convex_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def brute_force_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Quadratic reference hull: keep points not strictly above any chord."""
-    keep = []
-    for i, (x, y) in enumerate(pts):
-        above = False
-        for j in range(len(pts)):
-            for k in range(j + 1, len(pts)):
-                (xa, ya), (xb, yb) = pts[j], pts[k]
-                if xa <= x <= xb and xa < xb:
-                    chord = Fraction(ya) + Fraction(yb - ya, xb - xa) * (x - xa)
-                    if Fraction(y) > chord:
-                        above = True
-                        break
-            if above:
-                break
-        if not above:
-            keep.append((x, y))
-    # of the kept points, vertices are where the slope strictly increases
-    return lower_convex_hull(keep)
-
-
 def newton_polygon(C) -> NewtonPolygon:
     """Polygon of a Fredholm (or any coefficient) series.
 
@@ -192,10 +171,18 @@ def slope_decomposition(npoly: NewtonPolygon, d: int) -> SlopeReport:
 def hodge_bound_report(npoly: NewtonPolygon, p: int, d: int) -> dict:
     """Compare the polygon against the reference polygon with slope
     increments (p-1) k / d.  Reported, not asserted: a finding of
-    'below' flags the abscissa, never raises."""
-    findings = []
-    top = npoly.hull[-1][0]
-    for k in range(top + 1):
+    'below' flags the abscissa, never raises.  Only abscissae under
+    non-provisional slopes are compared; elsewhere the hull is just a
+    lower bound, and those abscissae are listed as unchecked."""
+    checked = set()
+    for (x0, _), (x1, _), s in zip(npoly.hull, npoly.hull[1:], npoly.slopes):
+        if not s.provisional:
+            checked.update(range(x0, x1 + 1))
+    findings, unchecked = [], []
+    for k in range(npoly.hull[-1][0] + 1):
+        if k not in checked:
+            unchecked.append(k)
+            continue
         bound = Fraction((p - 1) * k * (k - 1), 2 * d)
         have = npoly.hull_value(k)
         if have < bound:
@@ -203,5 +190,6 @@ def hodge_bound_report(npoly: NewtonPolygon, p: int, d: int) -> dict:
     return {
         "holds": not findings,
         "violations": findings,
+        "unchecked": unchecked,
         "bound": f"(p-1)k(k-1)/(2d) with p={p}, d={d}",
     }

@@ -232,10 +232,6 @@ class UnramifiedApprox:
     def one(cls, p, modulus, known) -> "UnramifiedApprox":
         return cls(p, modulus, [1] + [0] * (len(modulus) - 2), known)
 
-    @classmethod
-    def from_residue(cls, p, modulus, coords_mod_p, known) -> "UnramifiedApprox":
-        return cls(p, modulus, [c % p for c in coords_mod_p], known)
-
     def residue_coords(self) -> tuple[int, ...]:
         return tuple(c % self.p for c in self.coords)
 

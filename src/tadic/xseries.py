@@ -63,9 +63,9 @@ class XSeries:
         return f"XSeries({self.geometry.value}{tag}, deg<= {self.bound}, {len(self.coeffs)} terms)"
 
     @classmethod
-    def monomial(cls, prof, geometry, bound, u: int, coeff: ZpTSeries | None = None,
+    def monomial(cls, prof, geometry, bound, u: int,
                  differential: bool = False) -> "XSeries":
-        c = coeff if coeff is not None else ZpTSeries.one(prof.p, prof.b, prof.work)
+        c = ZpTSeries.one(prof.p, prof.b, prof.work)
         return cls(prof, geometry, bound, {u: c}, differential)
 
     @classmethod
@@ -75,20 +75,6 @@ class XSeries:
     def _check(self, other: "XSeries") -> None:
         if self.geometry is not other.geometry or self.bound != other.bound:
             raise ValueError("mismatched geometry or degree bound")
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            prev = out.get(u)
-            out[u] = c if prev is None else prev + c
-        return XSeries(self.prof, self.geometry, self.bound, out,
-                       self.differential or other.differential)
-
-    def scale(self, c) -> "XSeries":
-        return XSeries(self.prof, self.geometry, self.bound,
-                       {u: s.scale(c) for u, s in self.coeffs.items()},
-                       self.differential)
 
     def __mul__(self, other: "XSeries") -> "XSeries":
         """Product, discarding exponents outside the retained window."""
@@ -115,11 +101,3 @@ class XSeries:
             if self._in_range(p * u):
                 out[p * u] = c
         return XSeries(self.prof, self.geometry, self.bound, out, self.differential)
-
-    def at_T0_int(self, u: int) -> int:
-        """Residue of the T^0 part of the coefficient at u (for mod-T checks)."""
-        return self.coeff(u).vals[0]
-
-
-def xseries_mul(g: XSeries, h: XSeries) -> XSeries:
-    return g * h

@@ -14,6 +14,7 @@ tagged lower bounds.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PrecisionError
@@ -174,20 +175,53 @@ def teichmuller_int(c: int, p: int, digits: int) -> ZpApprox:
 
 # T-series layer ------------------------------------------------------------
 
-_PACK: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+class Packer:
+    """Kronecker substitution for series mod (p^w, T^b): a coefficient
+    vector becomes one big integer with `beta`-bit limbs, T^j in limb j.
+    Limbs have headroom for a sum of `nacc` products, so a series product,
+    or a row-times-column accumulation of length nacc, needs a single limb
+    reduction at the end."""
+
+    __slots__ = ("p", "b", "w", "m", "beta", "mask")
+
+    def __init__(self, p: int, b: int, w: int, nacc: int = 1):
+        self.p, self.b, self.w = p, b, w
+        self.m = ppow(p, w)
+        top = b * max(nacc, 1) * (self.m - 1) ** 2
+        self.beta = top.bit_length() + 1
+        self.mask = (1 << self.beta) - 1
+
+    def pack(self, s: "ZpTSeries") -> int:
+        acc = 0
+        for j in range(self.b - 1, -1, -1):
+            acc = (acc << self.beta) | (s.vals[j] % self.m)
+        return acc
+
+    def reduce(self, acc: int) -> int:
+        """Repack an accumulator with every limb reduced mod p^w."""
+        beta, mask, m = self.beta, self.mask, self.m
+        out = 0
+        for j in range(self.b - 1, -1, -1):
+            out = (out << beta) | (((acc >> (beta * j)) & mask) % m)
+        return out
+
+    def dot(self, xs, ys) -> int:
+        """Reduced packed sum of x * y over the pairs of xs and ys."""
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x:
+                acc += x * y
+        return self.reduce(acc)
+
+    def unpack(self, acc: int) -> "ZpTSeries":
+        beta, mask, m = self.beta, self.mask, self.m
+        vals = [((acc >> (beta * j)) & mask) % m for j in range(self.b)]
+        return ZpTSeries(self.p, self.b, vals, (self.w,) * self.b)
 
 
-def _pack_params(p: int, w: int, b: int, nacc: int) -> tuple[int, int]:
-    """Bits per limb and limb mask for Kronecker-packed multiplication,
-    with headroom for accumulating `nacc` products."""
-    key = (p, w, b, nacc)
-    got = _PACK.get(key)
-    if got is None:
-        top = b * nacc * (ppow(p, w) - 1) ** 2
-        beta = top.bit_length() + 1
-        got = (beta, (1 << beta) - 1)
-        _PACK[key] = got
-    return got
+@lru_cache(maxsize=None)
+def packer(p: int, b: int, w: int, nacc: int = 1) -> Packer:
+    return Packer(p, b, w, nacc)
 
 
 class ZpTSeries:
@@ -273,8 +307,8 @@ class ZpTSeries:
         w1 = self.uniform_prec()
         w2 = other.uniform_prec()
         if w1 is not None and w2 is not None:
-            w = min(w1, w2)
-            return _mul_packed(self, other, w)
+            pk = packer(self.p, self.b, min(w1, w2))
+            return pk.unpack(pk.pack(self) * pk.pack(other))
         return _mul_tracked(self, other)
 
     def scale(self, c) -> "ZpTSeries":
@@ -321,18 +355,6 @@ class ZpTSeries:
                 return Valuation(j, True)
         return Valuation(self.b, False)
 
-    def vp(self) -> Valuation:
-        """Minimum of the coefficient p-adic valuations."""
-        best = None
-        for j in range(self.b):
-            v = self.coeff(j).vp()
-            if best is None or v.value < best.value or (v.value == best.value and v.exact):
-                best = v
-        return best
-
-    def at_T0(self) -> ZpApprox:
-        return self.coeff(0)
-
     def agrees_with(self, other: "ZpTSeries") -> bool:
         self._check(other)
         for j in range(self.b):
@@ -352,22 +374,6 @@ class ZpTSeries:
         return tuple(v % m for v in self.vals)
 
 
-def _mul_packed(a: ZpTSeries, c: ZpTSeries, w: int) -> ZpTSeries:
-    p, b = a.p, a.b
-    m = ppow(p, w)
-    beta, mask = _pack_params(p, w, b, 1)
-    na = 0
-    nc = 0
-    for j in range(b - 1, -1, -1):
-        na = (na << beta) | (a.vals[j] % m)
-        nc = (nc << beta) | (c.vals[j] % m)
-    prod = na * nc
-    vals = []
-    for j in range(b):
-        vals.append(((prod >> (beta * j)) & mask) % m)
-    return ZpTSeries(p, b, vals, (w,) * b)
-
-
 def _mul_tracked(a: ZpTSeries, c: ZpTSeries) -> ZpTSeries:
     # every output index is reached by the i = 0 row, so all of prec is set
     p, b = a.p, a.b
@@ -382,18 +388,6 @@ def _mul_tracked(a: ZpTSeries, c: ZpTSeries) -> ZpTSeries:
             if k < prec[i + j]:
                 prec[i + j] = k
     return ZpTSeries(p, b, vals, prec)
-
-
-def valuation(x, kind: str) -> Valuation:
-    """Dispatcher: kind 'vp' for the p-adic valuation, 'vT' for the
-    T-adic order.  Inexact results (apparent zeros) carry exact=False."""
-    if kind == "vp":
-        return x.vp()
-    if kind == "vT":
-        if not isinstance(x, ZpTSeries):
-            raise ValueError("vT needs a T-series")
-        return x.vT()
-    raise ValueError(f"unknown valuation kind {kind!r}")
 
 
 def one_plus_T_pow(c: ZpApprox, prof) -> ZpTSeries:

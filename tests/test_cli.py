@@ -138,3 +138,16 @@ def test_main_config_document(tmp_path):
                  "--out", str(out)])
     assert code == EXIT_OK
     assert json.loads(out.read_text())["config"]["p"] == 3
+
+
+@pytest.mark.parametrize("block_degree", ["x", 0, -2])
+def test_main_rejects_bad_block_degree(tmp_path, capsys, block_degree):
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps({
+        "p": 2, "geometry": "affine", "f": {"1": 1},
+        "a": 5, "b": 5, "smax": 3, "dmax": 3, "block_degree": block_degree,
+    }))
+    code = main(["slopes", "--config", str(cfgfile)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err

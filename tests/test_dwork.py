@@ -1,6 +1,12 @@
 """Tests for the canonical Dwork operators and nuclear matrices."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+
+import pytest
 
 from tadic.dwork import (
     assemble_matrix,
@@ -11,6 +17,7 @@ from tadic.dwork import (
     theta1_trace_oracle,
     verify_theta_formulas,
 )
+from tadic.pipeline import run_compare
 from tadic.profile import PrecisionProfile
 from tadic.splitting import TowerInput, build_Ef
 from tadic.xseries import Geometry, XSeries
@@ -189,3 +196,67 @@ def test_basis_sizes():
     assert basis_exponents(Geometry.AFFINE_LINE, 1, 5) == (0, 5)
     assert basis_exponents(Geometry.TORUS, 0, 5) == (-5, 11)
     assert basis_exponents(Geometry.TORUS, 1, 5) == (-5, 11)
+
+
+def column_path_matrix(ef, i, prof):
+    """Reference assembly: column u is theta_i(E_f x^u), computed as an
+    XSeries product followed by theta, over a window wide enough for
+    theta to pull back from exponents up to p * D."""
+    geometry = ef.series.geometry
+    offset, size = basis_exponents(geometry, i, prof.D)
+    window = max(prof.p * prof.D, ef.series.bound, prof.D) + 1
+    ef_wide = XSeries(prof, geometry, window, dict(ef.series.coeffs))
+    theta = theta0_apply if i == 0 else theta1_apply
+    zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
+    cols = []
+    for u in range(offset, offset + size):
+        mono = XSeries.monomial(prof, geometry, window, u, differential=(i == 1))
+        image = theta(ef_wide * mono)
+        cols.append([image.coeffs.get(v, zero) for v in range(offset, offset + size)])
+    return [[cols[u][v] for u in range(size)] for v in range(size)]
+
+
+@pytest.mark.parametrize("p,geometry,f,b,D", [
+    (2, Geometry.AFFINE_LINE, {3: 1, 1: 1}, 8, 4),     # p D = 8 < E_f bound 21
+    (2, Geometry.TORUS, {1: 1, -1: 1}, 6, 6),          # p D = 12 > E_f bound 5
+    (3, Geometry.AFFINE_LINE, {2: 1, 1: 2}, 6, 5),     # p D = 15 > E_f bound 10
+    (3, Geometry.TORUS, {2: 2, -1: 1}, 5, 3),
+    (5, Geometry.AFFINE_LINE, {4: 1}, 8, 5),           # p D = 25 < E_f bound 28
+    (5, Geometry.TORUS, {1: 3, -2: 1}, 5, 6),
+    (7, Geometry.AFFINE_LINE, {3: 1}, 10, 8),
+    (7, Geometry.TORUS, {2: 1, -1: 4}, 4, 7),
+])
+def test_assemble_matrix_matches_column_path(p, geometry, f, b, D):
+    # the lookup must reproduce theta_i(E_f x^u) in vals and in prec
+    tower = TowerInput(p, geometry, f)
+    prof = profile(p=p, a=4, b=b, D=D, degree=tower.degree)
+    ef = build_Ef(tower, prof)
+    for i in (0, 1):
+        got = assemble_matrix(ef, i, prof).entries
+        want = column_path_matrix(ef, i, prof)
+        assert [[(e.vals, e.prec) for e in row] for row in got] == \
+            [[(e.vals, e.prec) for e in row] for row in want], (p, geometry, i)
+
+
+def test_theta_gate_independent_of_precision_and_history():
+    # at a = 1 theta0's factor p vanishes mod p^a on both sides of the
+    # gate; the verdict must not depend on what ran earlier in the process
+    code = ("from tadic.pipeline import run_trace_formula\n"
+            "from tadic.profile import PrecisionProfile\n"
+            "from tadic.splitting import TowerInput\n"
+            "from tadic.xseries import Geometry\n"
+            "run_trace_formula(TowerInput(2, Geometry.AFFINE_LINE, {1: 1}),\n"
+            "                  PrecisionProfile.create(2, 1, 4, 2, 2))\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    for geometry in (Geometry.AFFINE_LINE, Geometry.TORUS):
+        for a in (1, 6, 1):
+            for p in (2, 3):
+                verify_theta_formulas(profile(p=p, a=a, b=4, smax=2, dmax=2), geometry)
+    tower = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
+    for a in (1, 6, 1):
+        assert run_compare(tower, profile(p=2, a=a, b=4, smax=2, dmax=2)).verdict.agree

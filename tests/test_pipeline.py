@@ -1,13 +1,18 @@
 """Tests for the orchestration layer."""
 
+import pytest
+
+from tadic.errors import UsageError
 from tadic.fredholm import LFunctionSeries
 from tadic.pipeline import (
     compare_series,
     doubling_check,
     run_selfcheck,
+    run_compare,
     run_slopes,
     run_trace_formula,
 )
+from tadic.pointcount import oracle_lfun
 from tadic.profile import PrecisionProfile
 from tadic.splitting import TowerInput
 from tadic.xseries import Geometry
@@ -61,3 +66,11 @@ def test_run_slopes_reports_insufficient_precision():
     assert res.report is None
     assert "increase precision" in res.report_error
     assert res.polygon.points[0].valuation == 0
+
+
+def test_mismatched_primes_are_a_usage_error():
+    tower = TowerInput(3, Geometry.AFFINE_LINE, {2: 1, 1: 1})
+    prof = profile(p=2)
+    for run in (run_compare, run_trace_formula, oracle_lfun):
+        with pytest.raises(UsageError):
+            run(tower, prof)

@@ -10,7 +10,6 @@ from tadic.profile import PrecisionProfile
 from tadic.slopes import (
     NewtonPolygon,
     PolygonPoint,
-    brute_force_hull,
     hodge_bound_report,
     lower_convex_hull,
     newton_polygon,
@@ -73,6 +72,29 @@ def test_polygon_provisional_flagging():
     assert np_.slopes[0].provisional is False
     assert np_.slopes[1].provisional is True
     assert np_.slope_list() == [Fraction(2)]
+
+
+def brute_force_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Quadratic reference hull: keep points not strictly above any chord."""
+    keep = []
+    for i, (x, y) in enumerate(pts):
+        above = False
+        for j in range(len(pts)):
+            for k in range(j + 1, len(pts)):
+                (xa, ya), (xb, yb) = pts[j], pts[k]
+                if xa <= x <= xb and xa < xb:
+                    chord = Fraction(ya) + Fraction(yb - ya, xb - xa) * (x - xa)
+                    if Fraction(y) > chord:
+                        above = True
+                        break
+            if above:
+                break
+        if not above:
+            keep.append((x, y))
+    # of the kept points, vertices are where the slope strictly increases
+    return lower_convex_hull(keep)
+
+
 
 
 def test_hull_matches_brute_force_random():
@@ -178,3 +200,25 @@ def test_hodge_bound_report():
                            slopes=newton_polygon_slopes(hull))
     rep = hodge_bound_report(np_low, 7, 3)
     assert not rep["holds"] and rep["violations"]
+
+
+def test_hodge_bound_skips_precision_capped_segments():
+    # p = 7, d = 3: exact heights k(k-1) up to k = 6 sit on the bound; the
+    # apparent zeros after them only bound their valuation by b, so the
+    # provisional segment to (9, b) lies below the bound without being a
+    # violation
+    p, b = 7, 64
+    w = profile(p=p, b=b).work
+    coeffs = [series_with_vT(p, b, w, k * (k - 1)) for k in range(7)]
+    coeffs += [ZpTSeries.zero(p, b, w)] * 3
+    np_ = newton_polygon(coeffs)
+    assert np_.hull[-2:] == ((6, 30), (9, b))
+    assert np_.slopes[-1].provisional
+    assert np_.hull_value(7) < Fraction((p - 1) * 7 * 6, 2 * 3)
+    rep = hodge_bound_report(np_, p, 3)
+    assert rep["holds"], rep["violations"]
+    assert rep["unchecked"] == [7, 8, 9]
+    # an exact point below the bound is still reported
+    coeffs[6] = series_with_vT(p, b, w, 29)
+    rep = hodge_bound_report(newton_polygon(coeffs), p, 3)
+    assert [v["index"] for v in rep["violations"]] == [6]

@@ -153,18 +153,6 @@ def test_one_plus_T_pow_exponent_one():
         assert s.vals == (1, 1, 0, 0, 0, 0)
 
 
-def test_valuation_dispatcher():
-    from tadic.zp import valuation
-
-    x = ZpApprox(2, 12, 6)
-    assert valuation(x, "vp") == (2, True)
-    s = ZpTSeries.from_ints(2, 4, [0, 0, 6], 6)
-    assert valuation(s, "vT") == (2, True)
-    assert valuation(s, "vp") == (1, True)
-    with pytest.raises(ValueError):
-        valuation(x, "vT")
-
-
 def test_one_plus_T_pow_precision_report():
     prof = profile(p=2, a=6, b=8)
     w = prof.work
