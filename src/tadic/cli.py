@@ -23,7 +23,7 @@ from .pipeline import (
     run_trace_formula,
 )
 from .pointcount import oracle_lfun
-from .profile import PrecisionProfile
+from .profile import PrecisionProfile, is_prime
 from .splitting import TowerInput
 from .xseries import Geometry
 
@@ -87,6 +87,9 @@ class JobConfig:
         if self.block_degree is not None and self.block_degree < 1:
             raise UsageError(f"block_degree must be >= 1, got {self.block_degree}")
         self.out = out
+        # the tower reduces coefficients mod p, so p is checked first
+        if not is_prime(self.p):
+            raise UsageError(f"p = {self.p} is not prime")
         self.tower = TowerInput(self.p, self.geometry, self.f)
         try:
             self.profile = PrecisionProfile.create(

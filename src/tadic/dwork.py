@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError
+from .errors import CertificateError, UsageError
 from .profile import PrecisionProfile
 from .splitting import SplittingFunction
 from .xseries import Geometry, XSeries
@@ -189,12 +189,12 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     decay certificate."""
     if i not in (0, 1):
         raise ValueError("degree index must be 0 or 1")
+    D = prof.D
+    if D < prof.p:
+        raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
     geometry = ef.series.geometry
     verify_theta_formulas(prof, geometry)
 
-    D = prof.D
-    if D < prof.p:
-        raise ValueError("degree bound too small: need D >= p")
     offset, size = basis_exponents(geometry, i, D)
     zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
     # the nonzero coefficients of E_f, with theta0's factor p applied

@@ -1,14 +1,27 @@
 """Ground truth by enumeration: T-adic exponential sums of a tower.
 
-For each point x of the affine line or torus over F_{p^d}, lift it to its
-Teichmuller representative, evaluate f there, take the ring trace down to
-Z_p, and add (1+T) raised to that trace.  This touches none of the
-operator machinery, so agreement with the trace formula checks the whole
-other pipeline.
+The degree-d sum adds (1+T)^(Tr f(x_hat)) over the points x of the affine
+line or torus over F_q, q = p^d, where x_hat is the Teichmuller lift and
+Tr the ring trace down to Z_p.  Each piece of work is done once:
+
+* one residue g generating F_q^x is lifted to g_hat, and its powers give
+  every nonzero Teichmuller point; the table tr[k] = Tr(g_hat^k) costs one
+  ring product per k and is certified (g_hat^(q-1) = 1 exactly, and
+  tr[k] = tr[p k] since the trace is Galois invariant);
+* the trace is linear, so Tr f(g_hat^k) = sum_u [c_u] tr[k u mod (q-1)],
+  negative exponents of the torus included;
+* one k per Frobenius orbit {k, p k, p^2 k, ...} is visited, weighted by
+  the orbit size;
+* the weights are collected in a histogram of trace residues, and
+  (1+T)^t is expanded once per distinct t.
+
+This touches none of the operator machinery, so agreement with the trace
+formula checks the whole other pipeline.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetError, CertificateError, UsageError
@@ -18,12 +31,12 @@ from .splitting import TowerInput
 from .unramified import (
     UnramifiedApprox,
     default_modulus,
-    field_elements,
+    multiplicative_generator,
     teichmuller_lift,
     unramified_trace,
 )
 from .xseries import Geometry
-from .zp import ZpTSeries, one_plus_T_pow
+from .zp import ZpApprox, ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 
 POINT_BUDGET = 10 ** 7
 
@@ -36,6 +49,46 @@ class ExpSumReport:
     point_counts: tuple[int, ...]
 
 
+def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
+    """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, where g_hat is the
+    Teichmuller lift of a generator of F_q^x, with both certificates."""
+    modulus = default_modulus(p, d)
+    w = prof.work
+    order = ppow(p, d) - 1
+    g = multiplicative_generator(p, modulus)
+    ghat = teichmuller_lift(UnramifiedApprox(p, modulus, g, w), prof)
+    one = UnramifiedApprox.one(p, modulus, w)
+    power = one
+    tr = []
+    for _ in range(order):
+        tr.append(unramified_trace(power).residue)
+        power = power * ghat
+    if power.coords != one.coords:
+        raise CertificateError(f"Teichmuller generator: g^{order} != 1 mod {p}^{w}")
+    for k in range(order):
+        if tr[k] != tr[p * k % order]:
+            raise CertificateError(f"trace table is not Galois invariant at k = {k}")
+    return tr
+
+
+def _frobenius_orbits(p: int, order: int) -> list[tuple[int, int]]:
+    """(least element, size) of each orbit {k, p k, p^2 k, ...} mod order."""
+    seen = bytearray(order)
+    orbits = []
+    for k in range(order):
+        if seen[k]:
+            continue
+        size, j = 0, k
+        while not seen[j]:
+            seen[j] = 1
+            size += 1
+            j = j * p % order
+        orbits.append((k, size))
+    if sum(size for _, size in orbits) != order:
+        raise CertificateError(f"Frobenius orbits do not partition Z/{order}")
+    return orbits
+
+
 def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     """The degree-d exponential sum: sum over points x in F_{p^d} (without
     0 on the torus) of (1+T)^(Tr f(x_hat))."""
@@ -44,20 +97,22 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
         raise BudgetError(f"p^d = {p ** d} exceeds the enumeration budget {POINT_BUDGET}")
     if d > prof.dmax:
         raise UsageError(f"d = {d} exceeds dmax = {prof.dmax}")
-    modulus = default_modulus(p, d)
+    w = prof.work
+    order = ppow(p, d) - 1
     torus = tower.geometry is Geometry.TORUS
-    acc = ZpTSeries.zero(p, prof.b, prof.work)
-    count = 0
-    for coords in field_elements(p, d):
-        if torus and all(c == 0 for c in coords):
-            continue
-        count += 1
-        x0 = UnramifiedApprox(p, modulus, coords, prof.work)
-        xhat = teichmuller_lift(x0, prof)
-        value = tower.evaluate_teichmuller(xhat)
-        tr = unramified_trace(value)
-        acc = acc + one_plus_T_pow(tr, prof)
-    # at T = 0 every summand is 1
+    tr = _generator_traces(p, d, prof)
+    terms = [(u % order, teichmuller_int(c, p, w).residue)
+             for u, c in tower.f_coeffs.items()]
+    m = ppow(p, w)
+    # x = 0 lies on the affine line only, and f(0) = 0 there
+    weights = Counter() if torus else Counter({0: 1})
+    for k, size in _frobenius_orbits(p, order):
+        weights[sum(c * tr[k * u % order] for u, c in terms) % m] += size
+    acc = ZpTSeries.zero(p, prof.b, w)
+    for t, n in weights.items():
+        acc = acc + one_plus_T_pow(ZpApprox(p, t, w), prof).scale(n)
+    # at T = 0 every summand is 1, so the sum counts the points
+    count = order + (0 if torus else 1)
     if acc.vals[0] % p ** prof.a != count % p ** prof.a:
         raise CertificateError("exponential sum does not count points at T = 0")
     return acc

@@ -3,13 +3,21 @@
 Elements are residues of Z_p[x]/(m(x)) where m is a monic degree-d lift of
 an irreducible polynomial over F_p.  The theory is basis independent, so
 any such lift is accepted; `default_modulus` supplies a deterministic one.
+
+A ring is validated once: the Rabin irreducibility test runs at most once
+per (p, modulus) in a process, when an element is first built from
+outside data, and every arithmetic result is built without it.  Traces
+are linear in the coordinates, against the power sums Tr(x^i) of the
+modulus.  `multiplicative_generator` finds a residue generating F_{p^d}^x,
+so a single Teichmuller lift yields every nonzero Teichmuller point as one
+of its powers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import UsageError
+from .errors import CertificateError, UsageError
 from .zp import ZpApprox, ppow
 
 
@@ -79,6 +87,21 @@ def _poly_sub_fp(f, g, p):
     return _poly_trim([(a - b) % p for a, b in zip(f, g)])
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    primes = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_irreducible_mod_p(modulus: tuple[int, ...], p: int) -> bool:
     """Rabin test: x^(p^d) = x mod (m, p) and gcd(x^(p^(d/r)) - x, m) = 1
     for every prime r dividing d."""
@@ -91,23 +114,18 @@ def is_irreducible_mod_p(modulus: tuple[int, ...], p: int) -> bool:
         return True
     if _poly_sub_fp(_poly_powmod_fp(x, ppow(p, d), m, p), x, p):
         return False
-    r = 2
-    dd = d
-    primes = set()
-    while r * r <= dd:
-        if dd % r == 0:
-            primes.add(r)
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    if dd > 1:
-        primes.add(dd)
-    for r in primes:
+    for r in _prime_factors(d):
         diff = _poly_sub_fp(_poly_powmod_fp(x, ppow(p, d // r), m, p), x, p)
         g = _poly_gcd_fp(diff, m, p)
         if len(g) != 1:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _irreducible(p: int, modulus: tuple[int, ...]) -> bool:
+    """The Rabin test, run once per (p, modulus) in a process."""
+    return is_irreducible_mod_p(modulus, p)
 
 
 @lru_cache(maxsize=None)
@@ -123,9 +141,23 @@ def default_modulus(p: int, d: int) -> tuple[int, ...]:
             lo.append(n % p)
             n //= p
         cand = tuple(lo) + (1,)
-        if is_irreducible_mod_p(cand, p):
+        if _irreducible(p, cand):
             return cand
-    raise AssertionError("no irreducible polynomial found")
+    raise CertificateError(f"no monic irreducible of degree {d} over F_{p}")
+
+
+def multiplicative_generator(p: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of the first residue, in `field_elements` order, that
+    generates F_q^x (q = p^d): g^((q-1)/r) != 1 for every prime r | q-1."""
+    m = [c % p for c in modulus]
+    d = len(m) - 1
+    n = ppow(p, d) - 1
+    primes = _prime_factors(n)
+    for coords in field_elements(p, d):
+        g = _poly_trim(list(coords))
+        if g and all(_poly_powmod_fp(g, n // r, m, p) != [1] for r in primes):
+            return coords
+    raise CertificateError(f"F_{p}[x]/{modulus} has no generator of order {n}")
 
 
 class UnramifiedApprox:
@@ -137,17 +169,26 @@ class UnramifiedApprox:
         modulus = tuple(modulus)
         if len(modulus) < 2 or modulus[-1] != 1:
             raise UsageError("modulus must be monic of degree >= 1")
-        if not is_irreducible_mod_p(modulus, p):
+        if not _irreducible(p, modulus):
             raise UsageError(f"modulus {modulus} is not irreducible mod {p}")
-        d = len(modulus) - 1
         coords = tuple(coords)
-        if len(coords) != d:
+        if len(coords) != len(modulus) - 1:
             raise UsageError("coordinate vector length must equal the degree")
         m = ppow(p, known)
         self.p = p
         self.modulus = modulus
         self.coords = tuple(c % m for c in coords)
         self.known = known
+
+    def _new(self, coords, known: int) -> "UnramifiedApprox":
+        """An element of this (already validated) ring: no checks."""
+        e = object.__new__(UnramifiedApprox)
+        m = ppow(self.p, known)
+        e.p = self.p
+        e.modulus = self.modulus
+        e.coords = tuple(c % m for c in coords)
+        e.known = known
+        return e
 
     @property
     def degree(self) -> int:
@@ -162,60 +203,50 @@ class UnramifiedApprox:
 
     def __add__(self, other: "UnramifiedApprox") -> "UnramifiedApprox":
         self._check(other)
-        k = min(self.known, other.known)
-        return UnramifiedApprox(
-            self.p, self.modulus,
-            [a + b for a, b in zip(self.coords, other.coords)], k,
-        )
+        return self._new([a + b for a, b in zip(self.coords, other.coords)],
+                         min(self.known, other.known))
 
     def __sub__(self, other: "UnramifiedApprox") -> "UnramifiedApprox":
         self._check(other)
-        k = min(self.known, other.known)
-        return UnramifiedApprox(
-            self.p, self.modulus,
-            [a - b for a, b in zip(self.coords, other.coords)], k,
-        )
+        return self._new([a - b for a, b in zip(self.coords, other.coords)],
+                         min(self.known, other.known))
 
     def __neg__(self) -> "UnramifiedApprox":
-        return UnramifiedApprox(self.p, self.modulus, [-a for a in self.coords], self.known)
+        return self._new([-a for a in self.coords], self.known)
 
-    def _reduce_poly(self, out: list[int], k: int) -> list[int]:
+    def _reduce_poly(self, out: list[int]) -> list[int]:
+        """Reduce a product over Z by the monic modulus; `_new` then
+        reduces the coordinates mod p^known once."""
         d = self.degree
-        m = ppow(self.p, k)
+        modulus = self.modulus
         for i in range(len(out) - 1, d - 1, -1):
             c = out[i]
             if c:
-                out[i] = 0
                 for j in range(d):
-                    out[i - d + j] = (out[i - d + j] - c * self.modulus[j]) % m
-        return [c % m for c in out[:d]]
+                    out[i - d + j] -= c * modulus[j]
+        return out[:d]
 
     def __mul__(self, other) -> "UnramifiedApprox":
         if isinstance(other, ZpApprox):
-            k = min(self.known, other.known)
-            return UnramifiedApprox(
-                self.p, self.modulus, [a * other.residue for a in self.coords], k
-            )
+            return self._new([a * other.residue for a in self.coords],
+                             min(self.known, other.known))
         if isinstance(other, int):
-            return UnramifiedApprox(
-                self.p, self.modulus, [a * other for a in self.coords], self.known
-            )
+            return self._new([a * other for a in self.coords], self.known)
         self._check(other)
-        k = min(self.known, other.known)
         d = self.degree
         out = [0] * (2 * d - 1)
         for i, a in enumerate(self.coords):
             if a:
                 for j, b in enumerate(other.coords):
                     out[i + j] += a * b
-        return UnramifiedApprox(self.p, self.modulus, self._reduce_poly(out, k), k)
+        return self._new(self._reduce_poly(out), min(self.known, other.known))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UnramifiedApprox":
         if e < 0:
             return self.inverse() ** (-e)
-        result = UnramifiedApprox.one(self.p, self.modulus, self.known)
+        result = self._new([1] + [0] * (self.degree - 1), self.known)
         base = self
         while e:
             if e & 1:
@@ -243,19 +274,18 @@ class UnramifiedApprox:
         if self.is_zero_mod_p():
             raise ZeroDivisionError("not a unit: zero residue")
         p = self.p
-        m = list(self.modulus)
         # inverse mod p via extended gcd against the modulus
-        y = _poly_inverse_fp(list(self.residue_coords()), [c % p for c in m], p)
-        cur = UnramifiedApprox(p, self.modulus, y + [0] * (self.degree - len(y)), 1)
+        y = _poly_inverse_fp(list(self.residue_coords()), [c % p for c in self.modulus], p)
+        cur = self._new(y + [0] * (self.degree - len(y)), 1)
+        two = [2] + [0] * (self.degree - 1)
         digits = 1
         while digits < self.known:
             digits = min(2 * digits, self.known)
-            cur = UnramifiedApprox(p, self.modulus, cur.coords, digits)
-            here = UnramifiedApprox(p, self.modulus, self.coords, digits)
+            cur = self._new(cur.coords, digits)
+            here = self._new(self.coords, digits)
             # y <- y (2 - x y)
-            two = UnramifiedApprox.one(p, self.modulus, digits) * 2
-            cur = cur * (two - here * cur)
-        return UnramifiedApprox(p, self.modulus, cur.coords, self.known)
+            cur = cur * (self._new(two, digits) - here * cur)
+        return self._new(cur.coords, self.known)
 
 
 def _poly_inverse_fp(f, m, p):
@@ -295,32 +325,36 @@ def teichmuller_lift(x0: UnramifiedApprox, prof) -> UnramifiedApprox:
     """The Teichmuller representative above the residue of x0: the unique
     lift t with t^(p^d) = t and t = x0 mod p, found by iterating the
     q-power map (q = p^d), which gains at least one digit per step."""
-    p = x0.p
-    d = x0.degree
     w = prof.work
-    t = UnramifiedApprox(p, x0.modulus, x0.coords, w)
-    q = ppow(p, d)
+    t = x0._new(x0.coords, w)
+    q = ppow(x0.p, x0.degree)
     for _ in range(w + 2):
         t2 = t ** q
         if t2.coords == t.coords:
             break
         t = t2
     else:
-        raise AssertionError("Teichmuller iteration failed to stabilize")
+        raise CertificateError("Teichmuller iteration failed to stabilize")
     return t
 
 
+@lru_cache(maxsize=None)
+def _power_sums(modulus: tuple[int, ...]) -> tuple[int, ...]:
+    """Tr(x^i) for i < d: the power sums of the roots of the monic modulus
+    x^d + a_1 x^(d-1) + ... + a_d, over Z by Newton's identities
+    s_k = -(k a_k + a_1 s_(k-1) + ... + a_(k-1) s_1)."""
+    d = len(modulus) - 1
+    a = modulus[::-1]
+    s = [d]
+    for k in range(1, d):
+        s.append(-(k * a[k] + sum(a[i] * s[k - i] for i in range(1, k))))
+    return tuple(s)
+
+
 def unramified_trace(e: UnramifiedApprox) -> ZpApprox:
-    """Trace of multiplication by e in the power basis 1, x, ..., x^(d-1)."""
-    d = e.degree
-    tr = 0
-    m = ppow(e.p, e.known)
-    xi = UnramifiedApprox(e.p, e.modulus, [0, 1][: d] + [0] * max(0, d - 2), e.known)
-    cur = e
-    for j in range(d):
-        tr = (tr + cur.coords[j]) % m
-        if j < d - 1:
-            cur = cur * xi
+    """Trace of multiplication by e: linear in the coordinates, with the
+    power sums of the modulus as the trace of the power basis."""
+    tr = sum(c * s for c, s in zip(e.coords, _power_sums(e.modulus)))
     return ZpApprox(e.p, tr, e.known)
 
 

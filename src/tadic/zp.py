@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import PrecisionError
+from .errors import CertificateError, PrecisionError
 
 _PPOW: dict[tuple[int, int], int] = {}
 
@@ -169,7 +169,7 @@ def teichmuller_int(c: int, p: int, digits: int) -> ZpApprox:
             break
         t = t2
     else:
-        raise AssertionError("Teichmuller iteration failed to stabilize")
+        raise CertificateError("Teichmuller iteration failed to stabilize")
     return ZpApprox(p, t, digits)
 
 

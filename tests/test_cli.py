@@ -151,3 +151,16 @@ def test_main_rejects_bad_block_degree(tmp_path, capsys, block_degree):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+def test_main_rejects_p_zero(capsys):
+    # p is checked before the tower reduces coefficients mod p
+    assert main(["lfun", "--p", "0", "--f", "1:1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_main_rejects_degree_bound_below_p(capsys):
+    assert main(["lfun", "--p", "2", "--f", "1:1", "--x-degree", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "D = 1" in err

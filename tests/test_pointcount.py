@@ -1,21 +1,27 @@
 """Tests for the enumeration oracle."""
 
+import ast
+import inspect
 import random
+from collections import Counter
 
 import pytest
 
+from tadic import dwork, pointcount, unramified
 from tadic.errors import BudgetError
+from tadic.fredholm import char_series
 from tadic.pointcount import exp_sum, exp_sum_report, oracle_lfun
 from tadic.profile import PrecisionProfile
-from tadic.splitting import TowerInput
+from tadic.splitting import TowerInput, build_Ef
 from tadic.unramified import (
     UnramifiedApprox,
     default_modulus,
+    field_elements,
     teichmuller_lift,
     unramified_trace,
 )
 from tadic.xseries import Geometry
-from tadic.zp import ZpApprox, one_plus_T_pow, teichmuller_int
+from tadic.zp import ZpApprox, ZpTSeries, one_plus_T_pow, teichmuller_int
 
 
 def profile(p=2, a=6, b=8, smax=4, dmax=4):
@@ -120,3 +126,67 @@ def test_budget_guard():
     tower = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
     with pytest.raises(BudgetError):
         exp_sum(tower, 30, prof)
+
+
+def exp_sum_per_point(tower, d, prof):
+    """Reference: lift every point, evaluate f there, take the trace and
+    expand (1+T)^trace, one point at a time."""
+    p = tower.p
+    modulus = default_modulus(p, d)
+    acc = ZpTSeries.zero(p, prof.b, prof.work)
+    for coords in field_elements(p, d):
+        if tower.geometry is Geometry.TORUS and not any(coords):
+            continue
+        xhat = teichmuller_lift(UnramifiedApprox(p, modulus, coords, prof.work), prof)
+        tr = unramified_trace(tower.evaluate_teichmuller(xhat))
+        acc = acc + one_plus_T_pow(tr, prof)
+    return acc
+
+
+def random_tower(p, geometry, seed):
+    """Sparse Laurent f with one to three monomials of |degree| <= 5."""
+    rng = random.Random(seed)
+    lo = 1 if geometry is Geometry.AFFINE_LINE else -5
+    exps = [u for u in range(lo, 6) if u != 0]
+    return TowerInput(p, geometry, {u: rng.randrange(1, p)
+                                    for u in rng.sample(exps, rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("geometry", [Geometry.AFFINE_LINE, Geometry.TORUS])
+def test_exp_sum_matches_per_point_enumeration(p, geometry):
+    prof = profile(p=p, a=4, b=5, smax=3, dmax=3)
+    for seed in range(2):
+        tower = random_tower(p, geometry, seed)
+        for d in range(1, 4):
+            got = exp_sum(tower, d, prof)
+            want = exp_sum_per_point(tower, d, prof)
+            assert (got.vals, got.prec) == (want.vals, want.prec), (tower.f_coeffs, d)
+
+
+def test_rabin_test_runs_once_per_modulus(monkeypatch):
+    calls = Counter()
+    rabin = unramified.is_irreducible_mod_p
+
+    def spy(modulus, p):
+        calls[p, tuple(modulus)] += 1
+        return rabin(modulus, p)
+
+    monkeypatch.setattr(unramified, "is_irreducible_mod_p", spy)
+    unramified._irreducible.cache_clear()
+    default_modulus.cache_clear()
+    prof = profile(p=3, a=4, b=5, smax=3, dmax=4)
+    exp_sum_report(TowerInput(3, Geometry.TORUS, {2: 1, -1: 2}), prof)
+    assert calls and max(calls.values()) == 1
+
+
+def test_oracle_imports_nothing_of_the_trace_route():
+    banned = {"dwork", "char_series", "build_Ef"}
+    for node in ast.walk(ast.parse(inspect.getsource(pointcount))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name.split(".")[-1] for a in node.names}
+            module = getattr(node, "module", None) or ""
+            assert not banned & (names | set(module.split("."))), ast.dump(node)
+    for value in vars(pointcount).values():
+        assert value is not dwork and value is not char_series and value is not build_Ef
+        assert getattr(value, "__module__", "") != "tadic.dwork"

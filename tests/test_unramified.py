@@ -11,6 +11,7 @@ from tadic.unramified import (
     default_modulus,
     field_elements,
     is_irreducible_mod_p,
+    multiplicative_generator,
     teichmuller_lift,
     unramified_trace,
 )
@@ -92,6 +93,36 @@ def test_trace_examples():
     conj = omega * omega  # Frobenius is squaring on Teichmuller points
     s = omega + conj
     assert s.coords == ((-1) % 2 ** w, 0)
+
+
+def test_trace_matches_multiplication_matrix():
+    # reference: the trace of multiplication by e in the basis 1, x, ...,
+    # x^(d-1) is the sum of the x^j coordinates of e x^j
+    rng = random.Random(3)
+    for p, d in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 3)):
+        m = default_modulus(p, d)
+        w = 6
+        x = UnramifiedApprox(p, m, [0, 1] + [0] * (d - 2), w) if d > 1 else None
+        for _ in range(5):
+            e = UnramifiedApprox(p, m, [rng.randrange(p ** w) for _ in range(d)], w)
+            want, cur = 0, e
+            for j in range(d):
+                want += cur.coords[j]
+                if x is not None:
+                    cur = cur * x
+            assert unramified_trace(e).residue == want % p ** w
+
+
+def test_multiplicative_generator_has_full_order():
+    for p, dmax in ((2, 4), (3, 3), (5, 2), (7, 2)):
+        for d in range(1, dmax + 1):
+            m = default_modulus(p, d)
+            g = UnramifiedApprox(p, m, multiplicative_generator(p, m), 1)
+            one = UnramifiedApprox.one(p, m, 1).coords
+            power, order = g, 1
+            while power.coords != one:
+                power, order = power * g, order + 1
+            assert order == p ** d - 1
 
 
 def test_trace_additivity_random():
