@@ -25,6 +25,7 @@ sum of big-integer products followed by one limb reduction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dwork import NuclearMatrix
@@ -101,13 +102,30 @@ def _poly_mul_trunc(a: list[ZpTSeries], t: list[ZpTSeries], smax: int) -> list[Z
     return [c if c is not None else zero for c in out]
 
 
-def char_series(M: NuclearMatrix, smax: int) -> FredholmSeries:
-    """det(1 - s M) mod s^(smax+1), division free."""
+def char_series(M: NuclearMatrix, smax: int,
+                base: tuple[FredholmSeries, Sequence[int]] | None = None) -> FredholmSeries:
+    """det(1 - s M) mod s^(smax+1), division free.
+
+    With `base = (C, idx)`, C must be det(1 - s B) mod s^(smax+1) for the
+    principal block B of M on the indices `idx`, in that order; the
+    product resumes from C and borders only the remaining indices.
+    Ordering `idx` first is a permutation similarity of M, so the
+    determinant is unchanged.  The caller certifies that B is that block."""
     pk, rows = _packed_rows(M)
     one = ZpTSeries.one(pk.p, pk.b, pk.w)
-    zero = ZpTSeries.zero(pk.p, pk.b, pk.w)
-    result = [one] + [zero] * smax
-    for k in range(M.size):
+    result = [one] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
+    start = 0
+    if base is not None:
+        done, idx = base
+        if done.smax != smax:
+            raise ValueError(f"base series kept s^{done.smax}, need s^{smax}")
+        taken = set(idx)
+        if len(taken) != len(idx) or not taken <= set(range(M.size)):
+            raise ValueError("base indices must be distinct indices of the matrix")
+        order = [*idx, *(k for k in range(M.size) if k not in taken)]
+        rows = [[rows[v][u] for u in order] for v in order]
+        result, start = list(done.coeffs), len(idx)
+    for k in range(start, M.size):
         factor = [one, -pk.unpack(rows[k][k])]
         if k > 0 and smax >= 2:
             vec = [rows[i][k] for i in range(k)]   # the bordering column

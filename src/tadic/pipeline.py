@@ -108,20 +108,54 @@ def run_compare(tower: TowerInput, prof: PrecisionProfile) -> CompareRun:
     return CompareRun(trace=trace, oracle=lf_oracle, sums=sums, verdict=verdict)
 
 
+def _same(a: ZpTSeries, c: ZpTSeries) -> bool:
+    return a.vals == c.vals and a.prec == c.prec
+
+
+def _base_block(small: NuclearMatrix, big: NuclearMatrix) -> list[int]:
+    """Indices of `big` that carry the basis of `small`, in its order,
+    after certifying that `small` is the principal block of `big` there:
+    every entry agrees in value and in precision."""
+    shift = small.basis_offset - big.basis_offset
+    if shift < 0 or shift + small.size > big.size:
+        raise CertificateError(f"psi_{small.degree_index} basis at D is not inside 2D")
+    idx = [shift + k for k in range(small.size)]
+    for v, row in zip(idx, small.entries):
+        for u, e in zip(idx, row):
+            if not _same(e, big.entries[v][u]):
+                raise CertificateError(
+                    f"psi_{small.degree_index} entry ({v - shift},{u - shift}) "
+                    "at D differs from its entry at 2D")
+    return idx
+
+
 def doubling_check(tower: TowerInput, prof: PrecisionProfile,
                    base: TraceFormulaRun | None = None) -> tuple[bool, dict]:
-    """Recompute at twice the degree bound; every retained coefficient of
-    both characteristic series and of L must reproduce exactly."""
+    """Extend the base run to twice the degree bound; every retained
+    coefficient of both characteristic series and of L must reproduce
+    exactly.
+
+    E_f does not depend on D, so both 2D matrices are assembled from
+    `base.ef`, with the theta gate, decay and mod-T certificates.  The
+    base matrices are certified to be the blocks of the 2D matrices on
+    the base exponents, and the Berkowitz product for each 2D matrix
+    resumes from the base series past that block (`char_series` with
+    `base`), so the 2D series equal a from-scratch recomputation."""
     if base is None:
         base = run_trace_formula(tower, prof)
-    big = run_trace_formula(tower, prof.with_D(2 * prof.D))
-    def same(a: ZpTSeries, c: ZpTSeries) -> bool:
-        return a.vals == c.vals and a.prec == c.prec
-    for name, small_s, big_s in (("C0", base.c0.coeffs, big.c0.coeffs),
-                                 ("C1", base.c1.coeffs, big.c1.coeffs),
-                                 ("L", base.lfun.coeffs, big.lfun.coeffs)):
+    elif base.tower != tower or base.prof != prof:
+        raise UsageError("the base run was made for another tower or profile")
+    big_prof = prof.with_D(2 * prof.D)
+    big = []
+    for i, small, c in ((0, base.m0, base.c0), (1, base.m1, base.c1)):
+        m = assemble_matrix(base.ef, i, big_prof)
+        big.append(char_series(m, prof.smax, base=(c, _base_block(small, m))))
+    big_l = l_from_char_series(*big)
+    for name, small_s, big_s in (("C0", base.c0.coeffs, big[0].coeffs),
+                                 ("C1", base.c1.coeffs, big[1].coeffs),
+                                 ("L", base.lfun.coeffs, big_l.coeffs)):
         for k, (a, c) in enumerate(zip(small_s, big_s)):
-            if not same(a, c):
+            if not _same(a, c):
                 return False, {"series": name, "s_index": k,
                                "at_D": list(a.vals), "at_2D": list(c.vals)}
     return True, {}

@@ -220,7 +220,7 @@ def test_criterion_8_slope_structure(slope_run):
     # empirical structure: increment p - 1 and residues j/d
     assert rep.increment_r == prof.p - 1
     assert rep.residues == tuple(Fraction(j, d) for j in range(d))
-    # the degree cutoff is certified by recomputation at 2D
+    # the degree cutoff is certified by extending the run to 2D
     ok, info = doubling_check(tower, prof, base=run)
     assert ok, info
     _ok("criterion 8 (slope blocks for p=7, f=x^3: r=6, beta=(0,1/3,2/3))")

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from tadic.dwork import NuclearMatrix, assemble_matrix
 from tadic.fredholm import (
     char_series,
@@ -78,6 +80,21 @@ def test_char_series_matches_leibniz_oracle():
             want = brute_force_det_one_minus_sM(entries, 4)
             for k in range(5):
                 assert got.coeff(k).agrees_with(want[k]), (p, n, k)
+
+
+def test_char_series_resumes_past_any_principal_block():
+    rng = random.Random(5)
+    prof = profile(p=3, a=5, b=5)
+    entries = random_entries(3, 5, prof.work, 6, rng)
+    want = char_series(raw_matrix(prof, entries), 4)
+    idx = [4, 1, 2]
+    block = char_series(raw_matrix(prof, [[entries[v][u] for u in idx] for v in idx]), 4)
+    got = char_series(raw_matrix(prof, entries), 4, base=(block, idx))
+    assert [(c.vals, c.prec) for c in got.coeffs] == [(c.vals, c.prec) for c in want.coeffs]
+    for bad in ((block, [4, 1, 1]), (block, [4, 1, 6]),
+                (char_series(raw_matrix(prof, [[entries[4][4]]]), 3), [4])):
+        with pytest.raises(ValueError):
+            char_series(raw_matrix(prof, entries), 4, base=bad)
 
 
 def test_char_series_zero_tower():

@@ -128,6 +128,22 @@ def test_budget_guard():
         exp_sum(tower, 30, prof)
 
 
+def test_budget_refuses_before_building_a_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trace table was built over budget")
+    monkeypatch.setattr(pointcount, "_generator_traces", refuse)
+    monkeypatch.setattr(pointcount, "_frobenius_orbits", refuse)
+    d = 1
+    while 2 ** d <= pointcount.POINT_BUDGET:
+        d += 1
+    prof = PrecisionProfile.create(2, 4, 4, 2, d)
+    tower = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
+    with pytest.raises(BudgetError):
+        exp_sum(tower, d, prof)
+    with pytest.raises(BudgetError):
+        oracle_lfun(tower, prof)
+
+
 def exp_sum_per_point(tower, d, prof):
     """Reference: lift every point, evaluate f there, take the trace and
     expand (1+T)^trace, one point at a time."""
