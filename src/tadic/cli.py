@@ -41,13 +41,22 @@ _GEOMETRIES = {
 }
 
 
+def _integer(name: str, value) -> int:
+    """An integral field: an int, an integral float or a decimal string;
+    anything else (1.5, true, a list) is a usage error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def parse_f_spec(spec) -> dict[int, int]:
     """Accept {'u': c} maps (from JSON) or 'u:c,u:c' strings (from flags)."""
     if isinstance(spec, dict):
-        try:
-            return {int(u): int(c) for u, c in spec.items()}
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad f map: {exc}") from exc
+        return {_integer("f exponent", u): _integer(f"f coefficient of x^{u}", c)
+                for u, c in spec.items()}
     out: dict[int, int] = {}
     spec = str(spec).strip()
     if not spec or spec == "0":
@@ -67,7 +76,7 @@ class JobConfig:
     FIELDS = ("command", "p", "geometry", "f", "a", "b", "D", "smax",
               "dmax", "guard", "block_degree", "out")
 
-    def __init__(self, command: str, p: int, geometry: str, f,
+    def __init__(self, command: str, p: int = 2, geometry: str = "affine", f=None,
                  a: int = 6, b: int = 8, smax: int = 4, dmax: int = 4,
                  D=None, guard=None, block_degree=None, out=None):
         self.command = command
@@ -75,17 +84,17 @@ class JobConfig:
             raise UsageError(f"unknown geometry {geometry!r}; use affine or torus")
         self.geometry = _GEOMETRIES[str(geometry).lower()]
         self.f = parse_f_spec(f if f is not None else {})
-        try:
-            self.p = int(p)
-            self.a, self.b = int(a), int(b)
-            self.smax, self.dmax = int(smax), int(dmax)
-            self.D = None if D in (None, "auto") else int(D)
-            self.guard = None if guard in (None, "auto") else int(guard)
-            self.block_degree = None if block_degree in (None, "auto") else int(block_degree)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad numeric field: {exc}") from exc
+        self.p = _integer("p", p)
+        self.a, self.b = _integer("a", a), _integer("b", b)
+        self.smax, self.dmax = _integer("smax", smax), _integer("dmax", dmax)
+        self.D = None if D in (None, "auto") else _integer("D", D)
+        self.guard = None if guard in (None, "auto") else _integer("guard", guard)
+        self.block_degree = (None if block_degree in (None, "auto")
+                             else _integer("block_degree", block_degree))
         if self.block_degree is not None and self.block_degree < 1:
             raise UsageError(f"block_degree must be >= 1, got {self.block_degree}")
+        if out is not None and not isinstance(out, str):
+            raise UsageError(f"out must be a path string, got {out!r}")
         self.out = out
         # the tower reduces coefficients mod p, so p is checked first
         if not is_prime(self.p):
@@ -265,24 +274,13 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
-    merged = {
-        "command": args.command,
-        "p": doc.get("p", 2),
-        "geometry": doc.get("geometry", "affine"),
-        "f": doc.get("f", {}),
-        "a": doc.get("a", 6),
-        "b": doc.get("b", 8),
-        "smax": doc.get("smax", 4),
-        "dmax": doc.get("dmax", 4),
-        "D": doc.get("D"),
-        "guard": doc.get("guard"),
-        "block_degree": doc.get("block_degree"),
-        "out": doc.get("out"),
-    }
-    for key in ("p", "geometry", "f", "a", "b", "smax", "dmax", "D",
-                "guard", "block_degree", "out"):
+        if not isinstance(doc, dict):
+            raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+    # only the fields the document or a flag sets: the defaults live in JobConfig
+    merged = {key: doc[key] for key in JobConfig.FIELDS if key in doc}
+    for key in JobConfig.FIELDS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -309,8 +307,12 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     text = json.dumps(report, indent=2)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"usage error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     if code == EXIT_MISMATCH and config.command == "compare":

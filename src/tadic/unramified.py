@@ -6,11 +6,14 @@ any such lift is accepted; `default_modulus` supplies a deterministic one.
 
 A ring is validated once: the Rabin irreducibility test runs at most once
 per (p, modulus) in a process, when an element is first built from
-outside data, and every arithmetic result is built without it.  Traces
-are linear in the coordinates, against the power sums Tr(x^i) of the
-modulus.  `multiplicative_generator` finds a residue generating F_{p^d}^x,
-so a single Teichmuller lift yields every nonzero Teichmuller point as one
-of its powers.
+outside data, and every arithmetic result is built without it.  One
+product, `_mulmod`/`_powmod`, serves the ring mod p^known and the Rabin
+test and generator search mod p.  Traces are linear in the coordinates,
+against the power sums Tr(x^i) of the modulus.  `multiplicative_generator`
+finds a residue generating F_{p^d}^x, so a single Teichmuller lift yields
+every nonzero Teichmuller point as one of its powers.  Those points are
+(q-1)-th roots of unity, so only elements with t^(q-1) = 1 exactly have
+negative powers; for anything else `**` raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import CertificateError, UsageError
 from .zp import ZpApprox, ppow
 
 
-# polynomial helpers over F_p ------------------------------------------------
+# the ring product, and polynomial helpers over F_p -------------------------
 
 def _poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -29,30 +32,31 @@ def _poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _poly_mulmod_fp(f, g, m, p):
-    d = len(m) - 1
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
+def _mulmod(f, g, modulus, m: int) -> tuple[int, ...]:
+    """Product of two length-d coordinate tuples in Z[x]/(modulus), for a
+    monic degree-d modulus, reduced mod m once at the end."""
+    d = len(modulus) - 1
+    out = [0] * (2 * d - 1)
     for i, a in enumerate(f):
         if a:
             for j, c in enumerate(g):
-                out[i + j] = (out[i + j] + a * c) % p
-    # reduce monic m
-    for k in range(len(out) - 1, d - 1, -1):
+                out[i + j] += a * c
+    for k in range(2 * d - 2, d - 1, -1):
         c = out[k]
         if c:
-            out[k] = 0
             for j in range(d):
-                out[k - d + j] = (out[k - d + j] - c * m[j]) % p
-    return _poly_trim(out[:d])
+                out[k - d + j] -= c * modulus[j]
+    return tuple(c % m for c in out[:d])
 
 
-def _poly_powmod_fp(f, e, m, p):
-    result = [1]
-    base = _poly_mulmod_fp(f, [1], m, p)
+def _powmod(f, e: int, modulus, m: int) -> tuple[int, ...]:
+    """f^e in Z[x]/(modulus) mod m, for e >= 0, by repeated squaring."""
+    result = (1 % m,) + (0,) * (len(modulus) - 2)
+    base = f
     while e:
         if e & 1:
-            result = _poly_mulmod_fp(result, base, m, p)
-        base = _poly_mulmod_fp(base, base, m, p)
+            result = _mulmod(result, base, modulus, m)
+        base = _mulmod(base, base, modulus, m)
         e >>= 1
     return result
 
@@ -80,13 +84,6 @@ def _poly_gcd_fp(f, g, p):
     return f
 
 
-def _poly_sub_fp(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _poly_trim([(a - b) % p for a, b in zip(f, g)])
-
-
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, in increasing order."""
     primes = []
@@ -109,14 +106,14 @@ def is_irreducible_mod_p(modulus: tuple[int, ...], p: int) -> bool:
     d = len(m) - 1
     if d < 1 or m[-1] != 1:
         return False
-    x = [0, 1]
     if d == 1:
         return True
-    if _poly_sub_fp(_poly_powmod_fp(x, ppow(p, d), m, p), x, p):
+    x = (0, 1) + (0,) * (d - 2)
+    if _powmod(x, ppow(p, d), m, p) != x:
         return False
     for r in _prime_factors(d):
-        diff = _poly_sub_fp(_poly_powmod_fp(x, ppow(p, d // r), m, p), x, p)
-        g = _poly_gcd_fp(diff, m, p)
+        power = _powmod(x, ppow(p, d // r), m, p)
+        g = _poly_gcd_fp([(a - b) % p for a, b in zip(power, x)], m, p)
         if len(g) != 1:
             return False
     return True
@@ -134,13 +131,8 @@ def default_modulus(p: int, d: int) -> tuple[int, ...]:
     lexicographic order of the low coefficient vector."""
     if d == 1:
         return (0, 1)
-    for code in range(ppow(p, d)):
-        lo = []
-        n = code
-        for _ in range(d):
-            lo.append(n % p)
-            n //= p
-        cand = tuple(lo) + (1,)
+    for lo in field_elements(p, d):
+        cand = lo + (1,)
         if _irreducible(p, cand):
             return cand
     raise CertificateError(f"no monic irreducible of degree {d} over F_{p}")
@@ -153,9 +145,9 @@ def multiplicative_generator(p: int, modulus: tuple[int, ...]) -> tuple[int, ...
     d = len(m) - 1
     n = ppow(p, d) - 1
     primes = _prime_factors(n)
+    one = (1,) + (0,) * (d - 1)
     for coords in field_elements(p, d):
-        g = _poly_trim(list(coords))
-        if g and all(_poly_powmod_fp(g, n // r, m, p) != [1] for r in primes):
+        if any(coords) and all(_powmod(coords, n // r, m, p) != one for r in primes):
             return coords
     raise CertificateError(f"F_{p}[x]/{modulus} has no generator of order {n}")
 
@@ -214,18 +206,6 @@ class UnramifiedApprox:
     def __neg__(self) -> "UnramifiedApprox":
         return self._new([-a for a in self.coords], self.known)
 
-    def _reduce_poly(self, out: list[int]) -> list[int]:
-        """Reduce a product over Z by the monic modulus; `_new` then
-        reduces the coordinates mod p^known once."""
-        d = self.degree
-        modulus = self.modulus
-        for i in range(len(out) - 1, d - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(d):
-                    out[i - d + j] -= c * modulus[j]
-        return out[:d]
-
     def __mul__(self, other) -> "UnramifiedApprox":
         if isinstance(other, ZpApprox):
             return self._new([a * other.residue for a in self.coords],
@@ -233,27 +213,25 @@ class UnramifiedApprox:
         if isinstance(other, int):
             return self._new([a * other for a in self.coords], self.known)
         self._check(other)
-        d = self.degree
-        out = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    out[i + j] += a * b
-        return self._new(self._reduce_poly(out), min(self.known, other.known))
+        known = min(self.known, other.known)
+        return self._new(_mulmod(self.coords, other.coords, self.modulus,
+                                 ppow(self.p, known)), known)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UnramifiedApprox":
+        """self^e; for e < 0 only if self^(q-1) = 1 exactly at the known
+        digits (q = p^d), as for a nonzero Teichmuller point, and then
+        self^e = self^(e mod (q-1))."""
+        m = ppow(self.p, self.known)
         if e < 0:
-            return self.inverse() ** (-e)
-        result = self._new([1] + [0] * (self.degree - 1), self.known)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            order = ppow(self.p, self.degree) - 1
+            one = (1 % m,) + (0,) * (self.degree - 1)
+            if _powmod(self.coords, order, self.modulus, m) != one:
+                raise ValueError(f"negative power of {self!r}, which is not "
+                                 f"a root of unity of order dividing {order}")
+            e %= order
+        return self._new(_powmod(self.coords, e, self.modulus, m), self.known)
 
     @classmethod
     def zero(cls, p, modulus, known) -> "UnramifiedApprox":
@@ -266,76 +244,23 @@ class UnramifiedApprox:
     def residue_coords(self) -> tuple[int, ...]:
         return tuple(c % self.p for c in self.coords)
 
-    def is_zero_mod_p(self) -> bool:
-        return all(c % self.p == 0 for c in self.coords)
-
-    def inverse(self) -> "UnramifiedApprox":
-        """Inverse of a unit, by Hensel lifting the mod-p inverse."""
-        if self.is_zero_mod_p():
-            raise ZeroDivisionError("not a unit: zero residue")
-        p = self.p
-        # inverse mod p via extended gcd against the modulus
-        y = _poly_inverse_fp(list(self.residue_coords()), [c % p for c in self.modulus], p)
-        cur = self._new(y + [0] * (self.degree - len(y)), 1)
-        two = [2] + [0] * (self.degree - 1)
-        digits = 1
-        while digits < self.known:
-            digits = min(2 * digits, self.known)
-            cur = self._new(cur.coords, digits)
-            here = self._new(self.coords, digits)
-            # y <- y (2 - x y)
-            cur = cur * (self._new(two, digits) - here * cur)
-        return self._new(cur.coords, self.known)
-
-
-def _poly_inverse_fp(f, m, p):
-    """Inverse of f mod (m, p) by the extended Euclidean algorithm."""
-    r0, r1 = list(m), _poly_trim([c % p for c in f])
-    s0, s1 = [], [1]
-    while r1:
-        # divide r0 by r1
-        q = [0] * (max(len(r0) - len(r1), 0) + 1)
-        r = list(r0)
-        inv = pow(r1[-1], -1, p)
-        while len(r) >= len(r1) and r:
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(r1)
-            q[shift] = c
-            for j, x in enumerate(r1):
-                r[shift + j] = (r[shift + j] - c * x) % p
-            _poly_trim(r)
-        # s = s0 - q*s1
-        qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, a in enumerate(q):
-            if a:
-                for j, c in enumerate(s1):
-                    qs1[i + j] = (qs1[i + j] + a * c) % p
-        s = [(a - c) % p for a, c in
-             zip(s0 + [0] * max(0, len(qs1) - len(s0)),
-                 qs1 + [0] * max(0, len(s0) - len(qs1)))]
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible mod p")
-    c = pow(r0[0], -1, p)
-    return [(c * a) % p for a in s0]
-
 
 def teichmuller_lift(x0: UnramifiedApprox, prof) -> UnramifiedApprox:
     """The Teichmuller representative above the residue of x0: the unique
     lift t with t^(p^d) = t and t = x0 mod p, found by iterating the
     q-power map (q = p^d), which gains at least one digit per step."""
     w = prof.work
-    t = x0._new(x0.coords, w)
+    m = ppow(x0.p, w)
     q = ppow(x0.p, x0.degree)
+    t = tuple(c % m for c in x0.coords)
     for _ in range(w + 2):
-        t2 = t ** q
-        if t2.coords == t.coords:
+        t2 = _powmod(t, q, x0.modulus, m)
+        if t2 == t:
             break
         t = t2
     else:
         raise CertificateError("Teichmuller iteration failed to stabilize")
-    return t
+    return x0._new(t, w)
 
 
 @lru_cache(maxsize=None)

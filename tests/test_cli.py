@@ -3,9 +3,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tadic.cli import (
+    EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     JobConfig,
     main,
@@ -164,3 +168,74 @@ def test_main_rejects_degree_bound_below_p(capsys):
     assert main(["lfun", "--p", "2", "--f", "1:1", "--x-degree", "1"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage error" in err and "D = 1" in err
+
+
+def test_main_rejects_unwritable_out(capsys):
+    code = main(["lfun", "--p", "2", "--f", "1:1", "--out", "/nonexistent/dir/x.json"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"p": 2, "f": {"1": 1}, "out": 5}, "out must be a path string"),
+    ([1, 2], "config must be a JSON object"),
+    ({"p": 2, "f": {"1": 1.5}}, "must be an integer"),
+])
+def test_main_rejects_malformed_config(tmp_path, capsys, doc, message):
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps(doc))
+    assert main(["lfun", "--config", str(cfgfile)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err and "Traceback" not in err
+
+
+def test_defaults_live_in_job_config(tmp_path):
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps({"f": {"1": 1}}))
+    out = tmp_path / "r.json"
+    assert main(["lfun", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+    echo = json.loads(out.read_text())["config"]
+    assert echo == JobConfig("lfun", f={1: 1}).echo()
+    assert (echo["p"], echo["geometry"], echo["a"], echo["b"]) == (2, "affine", 6, 8)
+
+
+_WRONG = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+          | st.lists(st.integers(-2, 2), max_size=2) | st.just({}))
+
+
+def _field(valid):
+    """A field value of the right type four times in five, else any type."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else _WRONG)
+
+
+def _config_documents(tmp_path):
+    small = st.integers(-1, 6)
+    f_map = st.dictionaries(
+        st.integers(-3, 3).map(str) | st.text(max_size=2),
+        st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=2), max_size=3)
+    outs = st.none() | st.integers(-1, 9) | st.sampled_from(
+        [str(tmp_path / "r.json"), str(tmp_path / "missing" / "r.json"), str(tmp_path)])
+    fields = {
+        "p": _field(st.integers(0, 7)),
+        "geometry": _field(st.sampled_from(["affine", "torus", "gm", "klein"])),
+        "f": _field(f_map | st.sampled_from(["1:1", "2:1,-1:1", "1;1", "0"])),
+        "a": _field(small), "b": _field(small), "smax": _field(small),
+        "dmax": _field(small), "D": _field(small | st.just("auto")),
+        "guard": _field(small), "block_degree": _field(small),
+        "out": outs,
+    }
+    return _field(st.fixed_dictionaries({}, optional=fields))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       command=st.sampled_from(["lfun", "oracle", "compare", "slopes", "selfcheck"]))
+def test_any_config_document_exits_cleanly(tmp_path, data, command):
+    doc = data.draw(_config_documents(tmp_path))
+    cfgfile = tmp_path / "job.json"
+    cfgfile.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfgfile)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE, EXIT_MISMATCH)

@@ -8,6 +8,7 @@ from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
 from tadic.pipeline import (
     _base_block,
+    _check_semilinearity,
     compare_series,
     doubling_check,
     run_selfcheck,
@@ -136,3 +137,13 @@ def test_mismatched_primes_are_a_usage_error():
     for run in (run_compare, run_trace_formula, oracle_lfun):
         with pytest.raises(UsageError):
             run(tower, prof)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_semilinearity_check_passes_on_default_p7_profile(geometry):
+    # at D = 12 < 2p + 2 the check used to cut sigma(g) h on one side only
+    # and report a failure on correct operators
+    prof = PrecisionProfile.create(7, 6, 8, 4, 4, degree=1)
+    assert prof.D < 2 * 7 + 2
+    run = run_trace_formula(TowerInput(7, geometry, {1: 1}), prof)
+    assert _check_semilinearity(run) == (True, "")

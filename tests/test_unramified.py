@@ -150,16 +150,31 @@ def test_teichmuller_power_identity():
         assert all(c % 3 ** prof.a == 0 for c in diff.coords)
 
 
-def test_inverse():
-    w = 10
-    m = default_modulus(5, 3)
-    rng = random.Random(1)
-    for _ in range(10):
-        coords = [rng.randrange(5 ** w) for _ in range(3)]
-        if all(c % 5 == 0 for c in coords):
-            coords[0] += 1
-        e = UnramifiedApprox(5, m, coords, w)
-        assert (e * e.inverse()).coords == UnramifiedApprox.one(5, m, w).coords
+def test_negative_powers_only_of_roots_of_unity():
+    # every nonzero Teichmuller point is a (q-1)-th root of unity, so its
+    # negative powers are its powers mod q-1; nothing else has them
+    for p in (2, 3, 5):
+        prof = profile(p=p, a=4)
+        w = prof.work
+        for d in (1, 2, 3):
+            m = default_modulus(p, d)
+            q = p ** d
+            one = UnramifiedApprox.one(p, m, w).coords
+            for coords in field_elements(p, d):
+                x = UnramifiedApprox(p, m, coords, w)
+                t = teichmuller_lift(x, prof)
+                if not any(coords):
+                    with pytest.raises(ValueError):
+                        t ** -1
+                    continue
+                tk = t
+                for k in range(1, q + 1):
+                    assert (t ** -k * tk).coords == one
+                    tk = tk * t
+            # a unit that is not a root of unity: 1 + p x (1 + p for d = 1)
+            unit = UnramifiedApprox(p, m, (1, p) + (0,) * (d - 2) if d > 1 else (1 + p,), w)
+            with pytest.raises(ValueError):
+                unit ** -1
 
 
 def test_field_elements_enumeration():
