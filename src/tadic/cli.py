@@ -139,9 +139,8 @@ def parse_lseries(block: list[list[str]]) -> list[list[int]]:
     return [[int(s) for s in row] for row in block]
 
 
-def effective_digits(coeffs, cap: int | None = None) -> int:
-    d = min(min(c.prec) for c in coeffs)
-    return d if cap is None else min(d, cap)
+def effective_digits(coeffs) -> int:
+    return min(min(c.prec) for c in coeffs)
 
 
 def polygon_payload(npoly) -> dict:
@@ -278,6 +277,9 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
             raise UsageError(f"cannot read config: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(JobConfig.FIELDS))
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}; the fields are {JobConfig.FIELDS}")
     # only the fields the document or a flag sets: the defaults live in JobConfig
     merged = {key: doc[key] for key in JobConfig.FIELDS if key in doc}
     for key in JobConfig.FIELDS:

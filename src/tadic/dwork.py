@@ -8,12 +8,6 @@ In the monomial bases they are index maps:
     theta1(x^u dx)    = x^((u+1)/p - 1) dx   if p | u + 1, else 0   (affine)
     theta1(x^u dx/x)  = x^(u/p) dx/x         if p | u, else 0       (torus)
 
-These closed forms are validated against an independent oracle that
-computes the trace of the multiplication matrix of the degree-p subring
-extension in exact rational arithmetic (`theta0_trace_oracle`,
-`theta1_trace_oracle`); every matrix assembly first checks that the two
-agree on low monomials.
-
 The nuclear operator of a tower is psi_i = theta_i composed with
 multiplication by the splitting function E_f.  Writing u' for the
 function-space exponent of a basis element (u + 1 for differentials on
@@ -22,11 +16,17 @@ the affine line, u otherwise), the index maps give
     entry (v, u) of psi_i = (p if i = 0 else 1) * E_f[p v' - u'],
 
 so `assemble_matrix` fills the matrix in the plain monomial basis by
-looking up coefficients of E_f; each entry inherits the T-adic decay of
-the splitting function.  The weighted-basis bound (weight parameter c) is
-recorded and checked as a certificate but the entries are stored
-unweighted; the finite principal minors of the two presentations are
-similar, so every Fredholm determinant is unchanged.
+looking up coefficients of E_f (`psi_entries`); each entry inherits the
+T-adic decay of the splitting function.  With E := 1 the same rule gives
+the matrix of theta_i itself, and every matrix assembly first checks its
+columns on low monomials against an independent oracle that computes the
+trace of the multiplication matrix of the degree-p subring extension in
+exact rational arithmetic (`theta0_trace_oracle`, `theta1_trace_oracle`).
+
+The weighted-basis bound (weight parameter c) is recorded and checked as
+a certificate but the entries are stored unweighted; the finite principal
+minors of the two presentations are similar, so every Fredholm
+determinant is unchanged.
 """
 
 from __future__ import annotations
@@ -117,26 +117,22 @@ def theta1_trace_oracle(p: int, u: int, geometry: Geometry) -> dict[int, int]:
 
 
 def verify_theta_formulas(prof: PrecisionProfile, geometry: Geometry) -> None:
-    """Build gate: the index formulas must agree with the rational trace
-    oracle on all monomials |u| <= 3p, both sides reduced mod p^a with
-    vanishing terms dropped."""
+    """Build gate: the matrix entry rule `psi_entries` with E := 1 must
+    agree, column by column, with the rational trace oracle on all
+    monomials |u| <= 3p, both sides reduced mod p^a with vanishing terms
+    dropped."""
     p = prof.p
     m = p ** prof.a
-    bound = 3 * p + 1
-    lo = 0 if geometry is Geometry.AFFINE_LINE else -3 * p
-
-    def reduced(terms: dict[int, int]) -> dict[int, int]:
-        return {e: c % m for e, c in terms.items() if c % m}
-
-    def applied(theta, u: int, differential: bool) -> dict[int, int]:
-        g = XSeries.monomial(prof, geometry, bound, u, differential=differential)
-        return reduced({e: c.vals[0] for e, c in theta(g).coeffs.items()})
-
-    for u in range(lo, bound):
-        if applied(theta0_apply, u, False) != reduced(theta0_trace_oracle(p, u)):
-            raise CertificateError(f"theta0 disagrees with trace oracle at u={u}")
-        if applied(theta1_apply, u, True) != reduced(theta1_trace_oracle(p, u, geometry)):
-            raise CertificateError(f"theta1 disagrees with trace oracle at u={u}")
+    exps = range(0 if geometry is Geometry.AFFINE_LINE else -3 * p, 3 * p + 1)
+    unit = {0: ZpTSeries.one(p, prof.b, prof.work)}
+    oracles = (lambda u: theta0_trace_oracle(p, u),
+               lambda u: theta1_trace_oracle(p, u, geometry))
+    for i, oracle in enumerate(oracles):
+        entries = psi_entries(unit, i, prof, geometry, exps)
+        for k, u in enumerate(exps):
+            column = {v: c for v, row in zip(exps, entries) if (c := row[k].vals[0] % m)}
+            if column != {v: c % m for v, c in oracle(u).items() if c % m}:
+                raise CertificateError(f"theta{i} disagrees with trace oracle at u={u}")
 
 
 # matrices -------------------------------------------------------------------
@@ -182,6 +178,22 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D (dx/x twisted for i = 1)
 
 
+def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
+                geometry: Geometry, exps) -> list[list[ZpTSeries]]:
+    """Matrix of theta_i o (E *) on the basis exponents `exps`, E given by
+    its coefficients: entry (v, u) is (p if i = 0 else 1) * E[p v' - u']."""
+    # the nonzero coefficients of E, with theta0's factor p applied
+    table = {}
+    for j, c in coeffs.items():
+        c = c.scale(prof.p) if i == 0 else c
+        if not c.is_zero():
+            table[j] = c
+    zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
+    shift = 1 if i == 1 and geometry is Geometry.AFFINE_LINE else 0
+    fexps = [u + shift for u in exps]
+    return [[table.get(prof.p * v - u, zero) for u in fexps] for v in fexps]
+
+
 def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> NuclearMatrix:
     """Matrix of psi_i over the monomial basis, each entry looked up as
     (p or 1) * E_f[p v' - u'].  Runs the theta gate against the rational
@@ -196,17 +208,8 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     verify_theta_formulas(prof, geometry)
 
     offset, size = basis_exponents(geometry, i, D)
-    zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
-    # the nonzero coefficients of E_f, with theta0's factor p applied
-    table = {}
-    for j, c in ef.series.coeffs.items():
-        c = c.scale(prof.p) if i == 0 else c
-        if not c.is_zero():
-            table[j] = c
-    shift = 1 if i == 1 and geometry is Geometry.AFFINE_LINE else 0
-    exps = [offset + k + shift for k in range(size)]
-    entries = [[table.get(prof.p * v - u, zero) for u in exps] for v in exps]
-
+    entries = psi_entries(ef.series.coeffs, i, prof, geometry,
+                          range(offset, offset + size))
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),
                         basis_offset=offset, geometry=geometry, prof=prof)
     _check_matrix_certificates(mat, ef)

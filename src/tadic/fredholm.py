@@ -73,9 +73,6 @@ class LFunctionSeries:
     def coeff(self, k: int) -> ZpTSeries:
         return self.coeffs[k]
 
-    def effective_precision(self) -> int:
-        return min(min(c.prec) for c in self.coeffs)
-
 
 def _packed_rows(M: NuclearMatrix) -> tuple[Packer, list[list[int]]]:
     """The matrix with every entry packed, and the packer, whose limbs
@@ -173,26 +170,14 @@ def l_from_traces(sums: list[ZpTSeries], smax: int) -> LFunctionSeries:
     return LFunctionSeries(tuple(h), route="oracle")
 
 
-def series_inverse_in_s(coeffs: tuple[ZpTSeries, ...]) -> list[ZpTSeries]:
-    """Inverse of an s-series with constant term 1; division free."""
-    c0 = coeffs[0]
-    if c0.vals[0] != 1 or any(v != 0 for v in c0.vals[1:]):
-        raise ValueError("series must have constant term 1")
-    n = len(coeffs) - 1
-    inv = [c0]
-    for k in range(1, n + 1):
-        acc = None
-        for j in range(1, k + 1):
-            term = coeffs[j] * inv[k - j]
-            acc = term if acc is None else acc + term
-        inv.append(-acc)
-    return inv
-
-
 def l_from_char_series(c0: FredholmSeries, c1: FredholmSeries) -> LFunctionSeries:
-    """L = C(psi_0, s) / C(psi_1, s); the denominator has constant term 1
-    so the division is a formal series inverse."""
-    smax = c0.smax
-    inv1 = series_inverse_in_s(c1.coeffs)
-    out = _poly_mul_trunc(list(c0.coeffs), inv1, smax)
+    """L = C(psi_0, s) / C(psi_1, s).  The denominator has constant term 1,
+    so L * C1 = C0 gives L_k = C0_k - sum_{j=1..k} C1_j L_(k-j): division
+    free."""
+    c1.assert_integral()   # which includes C1_0 = 1
+    out = []
+    for k, acc in enumerate(c0.coeffs):
+        for j in range(1, k + 1):
+            acc = acc - c1.coeffs[j] * out[k - j]
+        out.append(acc)
     return LFunctionSeries(tuple(out), route="trace-formula")

@@ -4,10 +4,11 @@ The degree-d sum adds (1+T)^(Tr f(x_hat)) over the points x of the affine
 line or torus over F_q, q = p^d, where x_hat is the Teichmuller lift and
 Tr the ring trace down to Z_p.  Each piece of work is done once:
 
-* one residue g generating F_q^x is lifted to g_hat, and its powers give
-  every nonzero Teichmuller point; the table tr[k] = Tr(g_hat^k) costs one
-  ring product per k and is certified (g_hat^(q-1) = 1 exactly, and
-  tr[k] = tr[p k] since the trace is Galois invariant);
+* the default modulus is primitive, so its root x generates F_q^x; x is
+  lifted to g_hat, and the powers of g_hat give every nonzero Teichmuller
+  point; the table tr[k] = Tr(g_hat^k) costs one ring product per k and is
+  certified (g_hat^(q-1) = 1 exactly, and tr[k] = tr[p k] since the trace
+  is Galois invariant);
 * the trace is linear, so Tr f(g_hat^k) = sum_u [c_u] tr[k u mod (q-1)],
   negative exponents of the torus included;
 * one k per Frobenius orbit {k, p k, p^2 k, ...} is visited, weighted by
@@ -31,7 +32,6 @@ from .splitting import TowerInput
 from .unramified import (
     UnramifiedApprox,
     default_modulus,
-    multiplicative_generator,
     teichmuller_lift,
     unramified_trace,
 )
@@ -56,12 +56,12 @@ class ExpSumReport:
 
 def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
     """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, where g_hat is the
-    Teichmuller lift of a generator of F_q^x, with both certificates."""
+    Teichmuller lift of x, the root of the primitive default modulus, which
+    generates F_q^x; with both certificates."""
     modulus = default_modulus(p, d)
     w = prof.work
     order = ppow(p, d) - 1
-    g = multiplicative_generator(p, modulus)
-    ghat = teichmuller_lift(UnramifiedApprox(p, modulus, g, w), prof)
+    ghat = teichmuller_lift(UnramifiedApprox.root(p, modulus, w), prof)
     one = UnramifiedApprox.one(p, modulus, w)
     power = one
     tr = []

@@ -16,14 +16,26 @@ from dataclasses import dataclass
 from .errors import UsageError
 
 
+# Miller-Rabin with the thirteen prime bases 2..41 is exact below
+# PRIME_TEST_BOUND = psi_13; the twelve bases 2..37 only reach 3.2e23
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; n >= PRIME_TEST_BOUND is a usage error."""
+    if n >= PRIME_TEST_BOUND:
+        raise UsageError(f"p = {n} is too large: primality is decided only "
+                         f"below {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % r == 0 for r in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for r in _BASES:
+        x = pow(r, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 1
     return True
 
 

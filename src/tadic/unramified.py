@@ -1,19 +1,21 @@
 """Unramified extensions Z_{p^d} mod p^a: Teichmuller lifts and ring traces.
 
 Elements are residues of Z_p[x]/(m(x)) where m is a monic degree-d lift of
-an irreducible polynomial over F_p.  The theory is basis independent, so
-any such lift is accepted; `default_modulus` supplies a deterministic one.
+a primitive polynomial over F_p: x has order q - 1 in F_p[x]/(m), q = p^d.
+Then 1, x, ..., x^(q-2) are q - 1 distinct units, so the ring is the field
+F_q and x generates F_q^x: one order test certifies the field and gives
+the oracle its generator.  The theory is basis independent, so any
+primitive lift is accepted, but an irreducible one that is not primitive
+is refused; `default_modulus` supplies a deterministic one.
 
-A ring is validated once: the Rabin irreducibility test runs at most once
-per (p, modulus) in a process, when an element is first built from
-outside data, and every arithmetic result is built without it.  One
-product, `_mulmod`/`_powmod`, serves the ring mod p^known and the Rabin
-test and generator search mod p.  Traces are linear in the coordinates,
-against the power sums Tr(x^i) of the modulus.  `multiplicative_generator`
-finds a residue generating F_{p^d}^x, so a single Teichmuller lift yields
-every nonzero Teichmuller point as one of its powers.  Those points are
-(q-1)-th roots of unity, so only elements with t^(q-1) = 1 exactly have
-negative powers; for anything else `**` raises ValueError.
+A ring is validated once: the order test runs at most once per
+(p, modulus) in a process, with q - 1 factored once per (p, d), and
+arithmetic results are built without it.  One product, `_mulmod` and
+`_powmod`, serves the ring mod p^known and the order test mod p.  Traces
+are linear in the coordinates, against the power sums Tr(x^i) of the
+modulus.  Nonzero Teichmuller points are (q-1)-th roots of unity, so only
+elements with t^(q-1) = 1 exactly have negative powers; for anything else
+`**` raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .errors import CertificateError, UsageError
 from .zp import ZpApprox, ppow
 
 
-# the ring product, and polynomial helpers over F_p -------------------------
-
-def _poly_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
+# the ring product, and the order test over F_p ------------------------------
 
 def _mulmod(f, g, modulus, m: int) -> tuple[int, ...]:
     """Product of two length-d coordinate tuples in Z[x]/(modulus), for a
@@ -61,31 +57,16 @@ def _powmod(f, e: int, modulus, m: int) -> tuple[int, ...]:
     return result
 
 
-def _poly_gcd_fp(f, g, p):
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    while g:
-        inv = pow(g[-1], -1, p)
-        gm = [(c * inv) % p for c in g]
-        # f mod gm
-        f = list(f)
-        while len(f) >= len(gm) and f:
-            c = f[-1]
-            if c:
-                shift = len(f) - len(gm)
-                for j, x in enumerate(gm):
-                    f[shift + j] = (f[shift + j] - c * x) % p
-            _poly_trim(f)
-            if not f:
-                break
-            if len(f) >= len(gm) and f[-1] == 0:
-                _poly_trim(f)
-        f, g = g, f
-    return f
+def _root(modulus) -> tuple[int, ...]:
+    """Coordinates of x, the root of the monic modulus (-m_0 when d = 1)."""
+    d = len(modulus) - 1
+    return (-modulus[0],) if d == 1 else (0, 1) + (0,) * (d - 2)
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, in increasing order."""
+@lru_cache(maxsize=None)
+def _order_primes(p: int, d: int) -> tuple[int, ...]:
+    """The primes dividing q - 1, q = p^d, by trial division, once per (p, d)."""
+    n = ppow(p, d) - 1
     primes = []
     r = 2
     while r * r <= n:
@@ -96,60 +77,38 @@ def _prime_factors(n: int) -> list[int]:
         r += 1
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
 
 
-def is_irreducible_mod_p(modulus: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^d) = x mod (m, p) and gcd(x^(p^(d/r)) - x, m) = 1
-    for every prime r dividing d."""
+def is_primitive_mod_p(modulus: tuple[int, ...], p: int) -> bool:
+    """Order test: x^(q-1) = 1 and x^((q-1)/r) != 1 mod (m, p) for every
+    prime r dividing q - 1, so x has order exactly q - 1."""
     m = [c % p for c in modulus]
     d = len(m) - 1
     if d < 1 or m[-1] != 1:
         return False
-    if d == 1:
-        return True
-    x = (0, 1) + (0,) * (d - 2)
-    if _powmod(x, ppow(p, d), m, p) != x:
-        return False
-    for r in _prime_factors(d):
-        power = _powmod(x, ppow(p, d // r), m, p)
-        g = _poly_gcd_fp([(a - b) % p for a, b in zip(power, x)], m, p)
-        if len(g) != 1:
-            return False
-    return True
+    x = _root(m)
+    one = (1,) + (0,) * (d - 1)
+    n = ppow(p, d) - 1
+    return (_powmod(x, n, m, p) == one
+            and all(_powmod(x, n // r, m, p) != one for r in _order_primes(p, d)))
 
 
 @lru_cache(maxsize=None)
-def _irreducible(p: int, modulus: tuple[int, ...]) -> bool:
-    """The Rabin test, run once per (p, modulus) in a process."""
-    return is_irreducible_mod_p(modulus, p)
+def _primitive(p: int, modulus: tuple[int, ...]) -> bool:
+    """The order test, run once per (p, modulus) in a process."""
+    return is_primitive_mod_p(modulus, p)
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Deterministic monic irreducible of degree d over F_p: the first in
+    """Deterministic monic primitive of degree d over F_p: the first in
     lexicographic order of the low coefficient vector."""
-    if d == 1:
-        return (0, 1)
     for lo in field_elements(p, d):
         cand = lo + (1,)
-        if _irreducible(p, cand):
+        if _primitive(p, cand):
             return cand
-    raise CertificateError(f"no monic irreducible of degree {d} over F_{p}")
-
-
-def multiplicative_generator(p: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
-    """Coordinates of the first residue, in `field_elements` order, that
-    generates F_q^x (q = p^d): g^((q-1)/r) != 1 for every prime r | q-1."""
-    m = [c % p for c in modulus]
-    d = len(m) - 1
-    n = ppow(p, d) - 1
-    primes = _prime_factors(n)
-    one = (1,) + (0,) * (d - 1)
-    for coords in field_elements(p, d):
-        if any(coords) and all(_powmod(coords, n // r, m, p) != one for r in primes):
-            return coords
-    raise CertificateError(f"F_{p}[x]/{modulus} has no generator of order {n}")
+    raise CertificateError(f"no monic primitive of degree {d} over F_{p}")
 
 
 class UnramifiedApprox:
@@ -161,8 +120,9 @@ class UnramifiedApprox:
         modulus = tuple(modulus)
         if len(modulus) < 2 or modulus[-1] != 1:
             raise UsageError("modulus must be monic of degree >= 1")
-        if not _irreducible(p, modulus):
-            raise UsageError(f"modulus {modulus} is not irreducible mod {p}")
+        if not _primitive(p, modulus):
+            raise UsageError(f"modulus {modulus} is not primitive mod {p}: x must "
+                             "generate F_q^x, an irreducible modulus is not enough")
         coords = tuple(coords)
         if len(coords) != len(modulus) - 1:
             raise UsageError("coordinate vector length must equal the degree")
@@ -240,6 +200,11 @@ class UnramifiedApprox:
     @classmethod
     def one(cls, p, modulus, known) -> "UnramifiedApprox":
         return cls(p, modulus, [1] + [0] * (len(modulus) - 2), known)
+
+    @classmethod
+    def root(cls, p, modulus, known) -> "UnramifiedApprox":
+        """x, which generates F_q^x mod p."""
+        return cls(p, modulus, _root(modulus), known)
 
     def residue_coords(self) -> tuple[int, ...]:
         return tuple(c % self.p for c in self.coords)

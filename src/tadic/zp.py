@@ -95,9 +95,6 @@ class ZpApprox:
         k = min(self.known, o.known)
         return ZpApprox(self.p, self.residue - o.residue, k)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -145,11 +142,6 @@ class ZpApprox:
     def is_zero(self) -> bool:
         """Indistinguishable from zero at known precision."""
         return self.residue == 0
-
-    def vp(self) -> Valuation:
-        if self.residue == 0:
-            return Valuation(self.known, False)
-        return Valuation(vp_int(self.residue, self.p), True)
 
     def agrees_with(self, other: "ZpApprox") -> bool:
         """Equality of residues at the joint known precision."""

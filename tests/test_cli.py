@@ -1,6 +1,7 @@
 """Tests for the command line interface and report format."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,7 @@ from tadic.cli import (
     run,
 )
 from tadic.errors import UsageError
+from tadic.profile import PRIME_TEST_BOUND, is_prime
 
 
 def test_parse_f_spec():
@@ -164,6 +166,28 @@ def test_main_rejects_p_zero(capsys):
     assert "usage error" in err and "Traceback" not in err
 
 
+def test_main_rejects_large_prime_fast(capsys):
+    # 10^18 + 3 is prime; deciding so must not take trial division to 10^9
+    t0 = time.perf_counter()
+    assert main(["lfun", "--p", "1000000000000000003", "--f", "1:1"]) == EXIT_USAGE
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_is_prime_is_exact():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(10 ** 4))
+    # strong pseudoprimes to the bases 2..23 and to 2..37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    with pytest.raises(UsageError):
+        is_prime(PRIME_TEST_BOUND)
+
+
 def test_main_rejects_degree_bound_below_p(capsys):
     assert main(["lfun", "--p", "2", "--f", "1:1", "--x-degree", "1"]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -181,6 +205,7 @@ def test_main_rejects_unwritable_out(capsys):
     ({"p": 2, "f": {"1": 1}, "out": 5}, "out must be a path string"),
     ([1, 2], "config must be a JSON object"),
     ({"p": 2, "f": {"1": 1.5}}, "must be an integer"),
+    ({"p": 3, "f": {"1": 1}, "prec_p": 2, "dmax ": 1}, "unknown config keys ['dmax ', 'prec_p']"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, doc, message):
     cfgfile = tmp_path / "job.json"

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from tadic import dwork
 from tadic.dwork import (
     assemble_matrix,
     basis_exponents,
@@ -17,6 +18,7 @@ from tadic.dwork import (
     theta1_trace_oracle,
     verify_theta_formulas,
 )
+from tadic.errors import CertificateError
 from tadic.pipeline import run_compare
 from tadic.profile import PrecisionProfile
 from tadic.splitting import TowerInput, build_Ef
@@ -65,6 +67,25 @@ def test_theta_against_trace_oracle():
     assert theta1_trace_oracle(2, 0, Geometry.AFFINE_LINE) == {}
     assert theta1_trace_oracle(2, 0, Geometry.TORUS) == {0: 1}
     assert theta1_trace_oracle(2, -2, Geometry.TORUS) == {-1: 1}
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("geometry", [Geometry.AFFINE_LINE, Geometry.TORUS])
+def test_theta_gate_checks_the_rule_the_matrices_use(monkeypatch, i, geometry):
+    # plant an off-by-one in the exponents of psi_i's entry rule: the gate,
+    # and so every assembly of psi_i, must refuse it
+    rule = dwork.psi_entries
+
+    def shifted(coeffs, j, prof, geom, exps):
+        return rule(coeffs, j, prof, geom, [u + (j == i) for u in exps])
+
+    monkeypatch.setattr(dwork, "psi_entries", shifted)
+    prof = profile(p=3, a=5, b=4)
+    with pytest.raises(CertificateError, match=f"theta{i} disagrees"):
+        verify_theta_formulas(prof, geometry)
+    ef = build_Ef(TowerInput(3, geometry, {1: 1}), prof)
+    with pytest.raises(CertificateError):
+        assemble_matrix(ef, i, prof)
 
 
 def test_theta0_semilinearity():

@@ -1,5 +1,6 @@
 """Golden-file regression tests: the committed JSON reports of the
-acceptance compare runs must reproduce byte for byte (timing aside)."""
+acceptance compare runs must reproduce byte for byte (timing aside), as
+the text `tadic compare --out` writes, so key order counts too."""
 
 import json
 import pathlib
@@ -26,5 +27,5 @@ def test_golden_compare_report(name, kw):
     report, code = run(cfg)
     assert code == 0
     report.pop("timing_seconds")
-    want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert report == want
+    want = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert json.dumps(report, indent=2) + "\n" == want

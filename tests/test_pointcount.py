@@ -180,16 +180,16 @@ def test_exp_sum_matches_per_point_enumeration(p, geometry):
             assert (got.vals, got.prec) == (want.vals, want.prec), (tower.f_coeffs, d)
 
 
-def test_rabin_test_runs_once_per_modulus(monkeypatch):
+def test_order_test_runs_once_per_modulus(monkeypatch):
     calls = Counter()
-    rabin = unramified.is_irreducible_mod_p
+    order_test = unramified.is_primitive_mod_p
 
     def spy(modulus, p):
         calls[p, tuple(modulus)] += 1
-        return rabin(modulus, p)
+        return order_test(modulus, p)
 
-    monkeypatch.setattr(unramified, "is_irreducible_mod_p", spy)
-    unramified._irreducible.cache_clear()
+    monkeypatch.setattr(unramified, "is_primitive_mod_p", spy)
+    unramified._primitive.cache_clear()
     default_modulus.cache_clear()
     prof = profile(p=3, a=4, b=5, smax=3, dmax=4)
     exp_sum_report(TowerInput(3, Geometry.TORUS, {2: 1, -1: 2}), prof)

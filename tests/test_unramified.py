@@ -10,8 +10,7 @@ from tadic.unramified import (
     UnramifiedApprox,
     default_modulus,
     field_elements,
-    is_irreducible_mod_p,
-    multiplicative_generator,
+    is_primitive_mod_p,
     teichmuller_lift,
     unramified_trace,
 )
@@ -21,24 +20,36 @@ def profile(p=2, a=6, b=8, smax=4, dmax=4):
     return PrecisionProfile.create(p, a, b, smax, dmax)
 
 
-def test_irreducibility():
-    assert is_irreducible_mod_p((1, 1, 1), 2)        # x^2+x+1
-    assert not is_irreducible_mod_p((1, 0, 1), 2)    # x^2+1 = (x+1)^2
-    assert is_irreducible_mod_p((1, 2, 0, 1), 3)     # x^3+2x+1 over F_3
-    assert not is_irreducible_mod_p((0, 1, 1), 2)    # x^2+x = x(x+1)
+def test_primitivity_examples():
+    assert is_primitive_mod_p((1, 1, 1), 2)          # x^2+x+1: x^3 = 1
+    assert not is_primitive_mod_p((1, 0, 1), 2)      # x^2+1 = (x+1)^2
+    assert is_primitive_mod_p((1, 2, 0, 1), 3)       # x^3+2x+1 over F_3
+    assert not is_primitive_mod_p((0, 1, 1), 2)      # x^2+x = x(x+1)
 
 
 def test_default_modulus_properties():
+    # brute-force reference: x is primitive iff its q - 1 powers are distinct
     for p in (2, 3, 5, 7):
         for d in range(1, 6):
             m = default_modulus(p, d)
             assert len(m) == d + 1 and m[-1] == 1
-            assert is_irreducible_mod_p(m, p)
+            x = UnramifiedApprox.root(p, m, 1)
+            power, seen = x, set()
+            for _ in range(p ** d - 1):
+                seen.add(power.coords)
+                power = power * x
+            assert len(seen) == p ** d - 1 and power.coords == x.coords
 
 
 def test_construction_rejects_reducible():
     with pytest.raises(UsageError):
         UnramifiedApprox(2, (1, 0, 1), (0, 1), 5)
+
+
+def test_construction_rejects_irreducible_not_primitive():
+    # x^2+1 over F_3 is irreducible, but x^4 = 1, so x does not generate F_9^x
+    with pytest.raises(UsageError, match="not primitive"):
+        UnramifiedApprox(3, (1, 0, 1), (0, 1), 5)
 
 
 def test_arithmetic_in_f4_lift():
@@ -113,11 +124,11 @@ def test_trace_matches_multiplication_matrix():
             assert unramified_trace(e).residue == want % p ** w
 
 
-def test_multiplicative_generator_has_full_order():
+def test_root_of_default_modulus_has_full_order():
     for p, dmax in ((2, 4), (3, 3), (5, 2), (7, 2)):
         for d in range(1, dmax + 1):
             m = default_modulus(p, d)
-            g = UnramifiedApprox(p, m, multiplicative_generator(p, m), 1)
+            g = UnramifiedApprox.root(p, m, 1)
             one = UnramifiedApprox.one(p, m, 1).coords
             power, order = g, 1
             while power.coords != one:

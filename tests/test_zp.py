@@ -55,14 +55,6 @@ def test_zp_divexact():
         ZpApprox(p, 1, 6).divexact(2)
 
 
-def test_zp_valuation():
-    p = 2
-    v = ZpApprox(p, 12, 6).vp()
-    assert v == (2, True)
-    v = ZpApprox(p, 0, 6).vp()
-    assert v.value == 6 and not v.exact
-
-
 def test_teichmuller_int_examples():
     # fixed point of x -> x^3 above 2 is -1
     t = teichmuller_int(2, 3, 3)
