@@ -52,22 +52,30 @@ def _integer(name: str, value) -> int:
         raise UsageError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def parse_f_spec(spec) -> dict[int, int]:
-    """Accept {'u': c} maps (from JSON) or 'u:c,u:c' strings (from flags)."""
-    if isinstance(spec, dict):
-        return {_integer("f exponent", u): _integer(f"f coefficient of x^{u}", c)
-                for u, c in spec.items()}
-    out: dict[int, int] = {}
-    spec = str(spec).strip()
-    if not spec or spec == "0":
-        return out
-    for part in spec.split(","):
-        try:
-            u, c = part.split(":")
-            out[int(u)] = int(c)
-        except ValueError as exc:
-            raise UsageError(f"bad f term {part!r}, expected 'u:c'") from exc
+def _unique(pairs, what: str) -> dict:
+    """A dict of (key, value) pairs; a key given twice is a usage error,
+    not last-wins."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise UsageError(f"{what} {key!r} appears twice")
+        out[key] = value
     return out
+
+
+def parse_f_spec(spec) -> dict[int, int]:
+    """Accept {'u': c} maps (from JSON) or 'u:c,u:c' strings (from flags);
+    an exponent given twice, as in '1:1,1:2' or {"1": 1, "01": 2}, is a
+    usage error."""
+    if isinstance(spec, dict):
+        pairs = spec.items()
+    else:
+        spec = str(spec).strip()
+        pairs = [part.split(":") for part in spec.split(",")] if spec not in ("", "0") else []
+        if any(len(pair) != 2 for pair in pairs):
+            raise UsageError(f"bad f {spec!r}, expected 'u:c,u:c,...'")
+    return _unique([(_integer("f exponent", u), _integer(f"f coefficient of x^{u}", c))
+                    for u, c in pairs], "f exponent")
 
 
 class JobConfig:
@@ -272,8 +280,8 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+                doc = json.load(fh, object_pairs_hook=lambda pairs: _unique(pairs, "config key"))
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")

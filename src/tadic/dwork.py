@@ -41,6 +41,12 @@ from .xseries import Geometry, XSeries
 from .zp import ZpTSeries
 
 
+# The default D >= p must not let a large prime ask for a matrix that
+# cannot be held: N = 2048 rows (p = 2, b = 8) peaked at 72 MB and took
+# 95 s of CPU to assemble, certify and pack under tracemalloc.
+MAX_MATRIX_ROWS = 2048
+
+
 def theta0_apply(g: XSeries) -> XSeries:
     """Trace to the degree-p subring followed by the inverse Frobenius,
     on functions: keeps exponents divisible by p, each scaled by p."""
@@ -205,9 +211,11 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     if D < prof.p:
         raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
     geometry = ef.series.geometry
+    offset, size = basis_exponents(geometry, i, D)
+    if size > MAX_MATRIX_ROWS:
+        raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
     verify_theta_formulas(prof, geometry)
 
-    offset, size = basis_exponents(geometry, i, D)
     entries = psi_entries(ef.series.coeffs, i, prof, geometry,
                           range(offset, offset + size))
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),

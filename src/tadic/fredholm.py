@@ -38,7 +38,6 @@ class FredholmSeries:
     """det(1 - s Theta) truncated in s; coefficients in Z_p[[T]] mod T^b."""
 
     coeffs: tuple[ZpTSeries, ...]
-    provenance: str = ""
 
     @property
     def smax(self) -> int:
@@ -61,10 +60,9 @@ class FredholmSeries:
 
 @dataclass(frozen=True)
 class LFunctionSeries:
-    """L-series truncated in s, tagged with the route that produced it."""
+    """L-series truncated in s."""
 
     coeffs: tuple[ZpTSeries, ...]
-    route: str
 
     @property
     def smax(self) -> int:
@@ -78,8 +76,8 @@ def _packed_rows(M: NuclearMatrix) -> tuple[Packer, list[list[int]]]:
     """The matrix with every entry packed, and the packer, whose limbs
     hold a whole row-times-column accumulation of length N."""
     first = M.entries[0][0]
-    w = first.uniform_prec()
-    if w is None:
+    w = first.prec[0]
+    if first.prec.count(w) != first.b:
         raise CertificateError("matrix entries must carry uniform precision")
     pk = packer(first.p, first.b, w, M.size)
     return pk, [[pk.pack(e) for e in row] for row in M.entries]
@@ -132,7 +130,7 @@ def char_series(M: NuclearMatrix, smax: int,
                 if j < smax - 2:
                     vec = [pk.dot(rows[i], vec) for i in range(k)]
         result = _poly_mul_trunc(result, factor, smax)
-    out = FredholmSeries(tuple(result), provenance=f"psi_{M.degree_index}")
+    out = FredholmSeries(tuple(result))
     out.assert_integral()
     return out
 
@@ -167,7 +165,7 @@ def l_from_traces(sums: list[ZpTSeries], smax: int) -> LFunctionSeries:
         for j in range(1, k + 1):
             acc = acc + sums[j - 1] * h[k - j]
         h.append((-acc).divexact(k))
-    return LFunctionSeries(tuple(h), route="oracle")
+    return LFunctionSeries(tuple(h))
 
 
 def l_from_char_series(c0: FredholmSeries, c1: FredholmSeries) -> LFunctionSeries:
@@ -180,4 +178,4 @@ def l_from_char_series(c0: FredholmSeries, c1: FredholmSeries) -> LFunctionSerie
         for j in range(1, k + 1):
             acc = acc - c1.coeffs[j] * out[k - j]
         out.append(acc)
-    return LFunctionSeries(tuple(out), route="trace-formula")
+    return LFunctionSeries(tuple(out))

@@ -123,27 +123,17 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     return acc
 
 
-def exp_sum_report(tower: TowerInput, prof: PrecisionProfile,
-                   dmax: int | None = None) -> ExpSumReport:
-    dmax = prof.dmax if dmax is None else dmax
-    if tower.p ** dmax > POINT_BUDGET:
-        raise BudgetError(
-            f"p^dmax = {tower.p ** dmax} exceeds the enumeration budget {POINT_BUDGET}")
-    sums = []
-    counts = []
-    torus = tower.geometry is Geometry.TORUS
-    for d in range(1, dmax + 1):
-        sums.append(exp_sum(tower, d, prof))
-        counts.append(tower.p ** d - (1 if torus else 0))
-    return ExpSumReport(sums=tuple(sums), point_counts=tuple(counts))
-
-
 def oracle_lfun(tower: TowerInput, prof: PrecisionProfile) -> tuple[LFunctionSeries, ExpSumReport]:
-    """L-series of the tower assembled from enumerated exponential sums."""
-    if tower.p != prof.p:
-        raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
-    if prof.dmax < prof.smax:
+    """L-series of the tower assembled from the enumerated exponential sums
+    of degrees 1..dmax."""
+    p, dmax = tower.p, prof.dmax
+    if p != prof.p:
+        raise UsageError(f"tower over F_{p} with a profile for p = {prof.p}")
+    if dmax < prof.smax:
         raise UsageError("need dmax >= smax to assemble the oracle L-series")
-    report = exp_sum_report(tower, prof)
-    lf = l_from_traces(list(report.sums), prof.smax)
-    return lf, report
+    if p ** dmax > POINT_BUDGET:
+        raise BudgetError(f"p^dmax = {p ** dmax} exceeds the enumeration budget {POINT_BUDGET}")
+    sums = tuple(exp_sum(tower, d, prof) for d in range(1, dmax + 1))
+    torus = tower.geometry is Geometry.TORUS
+    counts = tuple(p ** d - (1 if torus else 0) for d in range(1, dmax + 1))
+    return l_from_traces(list(sums), prof.smax), ExpSumReport(sums=sums, point_counts=counts)

@@ -121,14 +121,15 @@ class PrecisionProfile:
     ) -> "PrecisionProfile":
         """Build a profile, filling D and guard with their defaults.
 
-        The default D = degree * (b + smax) makes monomials beyond the
-        cutoff irrelevant mod T^b; `degree` is the x-degree of the tower
-        the profile will serve (1 if unknown).
+        The default D = max(degree * (b + smax), p) makes monomials beyond
+        the cutoff irrelevant mod T^b and is never below the D >= p the
+        Dwork matrices need; `degree` is the x-degree of the tower the
+        profile will serve (1 if unknown).
         """
         if guard is None:
             guard = default_guard(p, b, smax, dmax)
         if D is None:
-            D = max(degree, 1) * (b + smax)
+            D = max(max(degree, 1) * (b + smax), p)
         return cls(p=p, a=a, b=b, D=D, smax=smax, dmax=dmax, guard=guard)
 
     def with_D(self, D: int) -> "PrecisionProfile":

@@ -76,7 +76,6 @@ class SplittingFunction:
     series: XSeries
     source: TowerInput
     profile: PrecisionProfile
-    pi: ZpTSeries
 
     def ef(self, j: int) -> ZpTSeries:
         return self.series.coeff(j)
@@ -133,7 +132,7 @@ def build_Ef(tower: TowerInput, prof: PrecisionProfile,
     c0 = acc.coeff(0)
     if c0.vals[0] % prof.p ** 1 != 1 % prof.p:
         raise CertificateError("splitting function must be 1 mod (p,T) at x^0")
-    return SplittingFunction(series=acc, source=tower, profile=prof, pi=pi)
+    return SplittingFunction(series=acc, source=tower, profile=prof)
 
 
 # fiber identities -----------------------------------------------------------

@@ -6,6 +6,13 @@ reports more digits than its inputs justify (min rule for sums and
 products, explicit digit loss for exact divisions).  A ZpTSeries is a
 vector of b such coefficients, one per power of T.
 
+The precision rule of a T-series product: coefficient n of x*y sums
+x_i y_j over i + j = n, so it is known to the least precision among the
+first n+1 coefficients of either factor.  These prefix minima never
+increase, so reduction mod p^P[n] at each n is a ring quotient, where
+products and Newton inverses are exact.  Every product is Kronecker-packed
+at the larger top precision of its factors.
+
 Apparent zeros are never certified: a residue of 0 at k known digits
 means only v_p >= k, and valuations of such elements are returned as
 tagged lower bounds.
@@ -15,20 +22,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CertificateError, PrecisionError
 
-_PPOW: dict[tuple[int, int], int] = {}
 
-
+@lru_cache(maxsize=None)
 def ppow(p: int, k: int) -> int:
-    key = (p, k)
-    m = _PPOW.get(key)
-    if m is None:
-        m = p ** k
-        _PPOW[key] = m
-    return m
+    return p ** k
 
 
 def vp_int(n: int, p: int) -> int:
@@ -205,15 +207,24 @@ class Packer:
                 acc += x * y
         return self.reduce(acc)
 
-    def unpack(self, acc: int) -> "ZpTSeries":
-        beta, mask, m = self.beta, self.mask, self.m
-        vals = [((acc >> (beta * j)) & mask) % m for j in range(self.b)]
-        return ZpTSeries(self.p, self.b, vals, (self.w,) * self.b)
+    def unpack(self, acc: int, prec=None) -> "ZpTSeries":
+        """The series in the limbs of acc, known to prec (default: w)."""
+        beta, mask = self.beta, self.mask
+        limbs = [(acc >> (beta * j)) & mask for j in range(self.b)]
+        return ZpTSeries(self.p, self.b, limbs, prec or (self.w,) * self.b)
 
 
 @lru_cache(maxsize=None)
 def packer(p: int, b: int, w: int, nacc: int = 1) -> Packer:
     return Packer(p, b, w, nacc)
+
+
+@lru_cache(maxsize=256)
+def _product_layout(p: int, b: int, xprec: tuple, yprec: tuple) -> tuple[Packer, tuple]:
+    """The packer at the larger top precision of two factors, and the
+    precision of their product: the prefix minima of both vectors."""
+    return (packer(p, b, max(max(xprec), max(yprec))),
+            tuple(accumulate(map(min, xprec, yprec), min)))
 
 
 class ZpTSeries:
@@ -287,21 +298,10 @@ class ZpTSeries:
     def __neg__(self) -> "ZpTSeries":
         return ZpTSeries(self.p, self.b, [-v for v in self.vals], self.prec)
 
-    def uniform_prec(self) -> int | None:
-        k = self.prec[0]
-        for x in self.prec:
-            if x != k:
-                return None
-        return k
-
     def __mul__(self, other: "ZpTSeries") -> "ZpTSeries":
         self._check(other)
-        w1 = self.uniform_prec()
-        w2 = other.uniform_prec()
-        if w1 is not None and w2 is not None:
-            pk = packer(self.p, self.b, min(w1, w2))
-            return pk.unpack(pk.pack(self) * pk.pack(other))
-        return _mul_tracked(self, other)
+        pk, prec = _product_layout(self.p, self.b, self.prec, other.prec)
+        return pk.unpack(pk.pack(self) * pk.pack(other), prec)
 
     def scale(self, c) -> "ZpTSeries":
         """Multiply every coefficient by an integer or a ZpApprox."""
@@ -318,20 +318,17 @@ class ZpTSeries:
         return ZpTSeries(self.p, self.b, [c.residue for c in out], [c.known for c in out])
 
     def inverse(self) -> "ZpTSeries":
-        """Inverse of a series whose constant term is a p-adic unit."""
-        c0 = self.coeff(0)
-        i0 = c0.unit_inverse()
-        inv_vals = [i0.residue]
-        inv_prec = [i0.known]
-        for k in range(1, self.b):
-            acc = ZpApprox(self.p, 0, inv_prec[0])
-            for j in range(1, k + 1):
-                term = self.coeff(j) * ZpApprox(self.p, inv_vals[k - j], inv_prec[k - j])
-                acc = acc - term
-            q = acc * i0
-            inv_vals.append(q.residue)
-            inv_prec.append(q.known)
-        return ZpTSeries(self.p, self.b, inv_vals, inv_prec)
+        """Inverse of a series whose constant term is a p-adic unit, by
+        Newton's iteration y <- y (2 - x y) from the inverse of that term;
+        each step doubles the T-adic order to which y is right."""
+        i0 = self.coeff(0).unit_inverse()
+        y = ZpTSeries.from_scalar(i0, self.b)
+        two = ZpTSeries.from_scalar(ZpApprox(self.p, 2, i0.known), self.b)
+        right = 1
+        while right < self.b:
+            y = y * (two - self * y)
+            right *= 2
+        return y
 
     # queries
 
@@ -364,22 +361,6 @@ class ZpTSeries:
         if any(k < digits for k in self.prec):
             raise PrecisionError("requested more digits than known")
         return tuple(v % m for v in self.vals)
-
-
-def _mul_tracked(a: ZpTSeries, c: ZpTSeries) -> ZpTSeries:
-    # every output index is reached by the i = 0 row, so all of prec is set
-    p, b = a.p, a.b
-    vals = [0] * b
-    prec = [10 ** 9] * b
-    for i in range(b):
-        av = a.vals[i]
-        ak = a.prec[i]
-        for j in range(b - i):
-            vals[i + j] += av * c.vals[j]
-            k = min(ak, c.prec[j])
-            if k < prec[i + j]:
-                prec[i + j] = k
-    return ZpTSeries(p, b, vals, prec)
 
 
 def one_plus_T_pow(c: ZpApprox, prof) -> ZpTSeries:

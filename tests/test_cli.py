@@ -194,6 +194,26 @@ def test_main_rejects_degree_bound_below_p(capsys):
     assert "usage error" in err and "D = 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lfun", "--p", "13", "--f", "1:1"],
+    ["compare", "--p", "7", "--f", "1:1", "--prec-T", "4", "--s-degree", "2", "--d-max", "2"],
+])
+def test_default_degree_bound_is_at_least_p(capsys, argv):
+    # deg * (b + smax) is 12 and 6 here, below p
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["D"] == int(argv[2])
+    assert report["results"].get("verdict", "agree") == "agree"
+
+
+def test_main_rejects_degree_bound_beyond_matrix_limit(capsys):
+    # the torus basis x^-D..x^D has 2D + 1 rows
+    argv = ["lfun", "--p", "2", "--geometry", "torus", "--f", "1:1", "--x-degree", "1024"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "2049 matrix rows" in err
+
+
 def test_main_rejects_unwritable_out(capsys):
     code = main(["lfun", "--p", "2", "--f", "1:1", "--out", "/nonexistent/dir/x.json"])
     assert code == EXIT_USAGE
@@ -206,10 +226,16 @@ def test_main_rejects_unwritable_out(capsys):
     ([1, 2], "config must be a JSON object"),
     ({"p": 2, "f": {"1": 1.5}}, "must be an integer"),
     ({"p": 3, "f": {"1": 1}, "prec_p": 2, "dmax ": 1}, "unknown config keys ['dmax ', 'prec_p']"),
+    ({"p": 3, "f": "1:1,1:2"}, "f exponent 1 appears twice"),
+    ({"p": 3, "f": {"1": 1, "01": 2}}, "f exponent 1 appears twice"),
+    # documents json.dumps cannot write, given as text
+    pytest.param('{"p": 2, "p": 3, "f": {"1": 1}}', "config key 'p' appears twice",
+                 id="repeated-key"),
+    pytest.param("[" * 100000 + "]" * 100000, "cannot read config", id="nested-100000"),
 ])
 def test_main_rejects_malformed_config(tmp_path, capsys, doc, message):
     cfgfile = tmp_path / "job.json"
-    cfgfile.write_text(json.dumps(doc))
+    cfgfile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["lfun", "--config", str(cfgfile)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage error" in err and message in err and "Traceback" not in err

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
@@ -32,8 +34,8 @@ def test_compare_series_detects_mismatch():
     w = prof.work
     base = [ZpTSeries.one(2, 5, w), ZpTSeries.from_ints(2, 5, [3, 1], w)]
     other = [ZpTSeries.one(2, 5, w), ZpTSeries.from_ints(2, 5, [3, 1, 4], w)]
-    lhs = LFunctionSeries(tuple(base), route="trace-formula")
-    rhs = LFunctionSeries(tuple(other), route="oracle")
+    lhs = LFunctionSeries(tuple(base))
+    rhs = LFunctionSeries(tuple(other))
     res = compare_series(lhs, rhs)
     assert not res.agree
     assert res.first_mismatch == (1, 2)
@@ -41,7 +43,7 @@ def test_compare_series_detects_mismatch():
     # agreement below the joint precision is still agreement
     close = [ZpTSeries.one(2, 5, w),
              ZpTSeries(2, 5, (3 + 2 ** 4, 1, 0, 0, 0), (4, w, w, w, w))]
-    res = compare_series(lhs, LFunctionSeries(tuple(close), route="oracle"))
+    res = compare_series(lhs, LFunctionSeries(tuple(close)))
     assert res.agree
     assert res.effective_precision == 4
 
@@ -147,3 +149,24 @@ def test_semilinearity_check_passes_on_default_p7_profile(geometry):
     assert prof.D < 2 * 7 + 2
     run = run_trace_formula(TowerInput(7, geometry, {1: 1}), prof)
     assert _check_semilinearity(run) == (True, "")
+
+
+@st.composite
+def towers(draw):
+    """p in {2, 3, 5, 7}, either geometry, f of one or two monomials with
+    exponents 1..3 (affine) or +-1..+-3 (torus) and units as coefficients."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    geometry = draw(st.sampled_from(list(Geometry)))
+    exps = [1, 2, 3] if geometry is Geometry.AFFINE_LINE else [-3, -2, -1, 1, 2, 3]
+    support = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=2, unique=True))
+    return TowerInput(p, geometry, {u: draw(st.integers(1, p - 1)) for u in support})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tower=towers())
+def test_random_towers_agree_and_double(tower):
+    prof = PrecisionProfile.create(tower.p, 3, 4, 2, 2, degree=tower.degree)
+    res = run_compare(tower, prof)
+    assert res.verdict.agree, res.verdict.first_mismatch
+    assert doubling_check(tower, prof, base=res.trace) == (True, {})

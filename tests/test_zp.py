@@ -77,19 +77,55 @@ def test_tseries_ring_ops():
     assert prod.prec == (w,) * b
 
 
-def test_tseries_mul_matches_tracked_path():
-    # packed fast path must agree with the naive convolution
-    p, b, w = 3, 7, 9
-    rng = random.Random(7)
-    for _ in range(25):
-        xs = ZpTSeries.from_ints(p, b, [rng.randrange(3 ** 9) for _ in range(b)], w)
-        ys = ZpTSeries.from_ints(p, b, [rng.randrange(3 ** 9) for _ in range(b)], w)
-        fast = xs * ys
-        # force the tracked path by perturbing one precision entry
-        ys2 = ZpTSeries(p, b, ys.vals, (w,) * (b - 1) + (w - 1,))
-        slow = xs * ys2
-        assert fast.vals[: b - 1] == slow.vals[: b - 1]
-        assert fast.agrees_with(slow)
+def schoolbook(x, y):
+    """Reference product: the double loop over coefficient pairs, each
+    pair known to the lesser precision of its two factors."""
+    p, b = x.p, x.b
+    vals, prec = [0] * b, [None] * b
+    for i in range(b):
+        for j in range(b - i):
+            vals[i + j] += x.vals[i] * y.vals[j]
+            k = min(x.prec[i], y.prec[j])
+            prec[i + j] = k if prec[i + j] is None else min(prec[i + j], k)
+    return ZpTSeries(p, b, vals, prec)
+
+
+def recurrence_inverse(x):
+    """Reference inverse: y_k = -y_0 sum_{j=1..k} x_j y_(k-j) in ZpApprox."""
+    i0 = x.coeff(0).unit_inverse()
+    inv = [i0]
+    for k in range(1, x.b):
+        acc = ZpApprox(x.p, 0, i0.known)
+        for j in range(1, k + 1):
+            acc = acc - x.coeff(j) * inv[k - j]
+        inv.append(acc * i0)
+    return ZpTSeries(x.p, x.b, [c.residue for c in inv], [c.known for c in inv])
+
+
+@st.composite
+def tseries(draw, p, b, unit=False):
+    """A series with an arbitrary, non-monotone precision vector."""
+    prec = draw(st.lists(st.integers(1, 12), min_size=b, max_size=b))
+    vals = [draw(st.integers(0, p ** k - 1)) for k in prec]
+    if unit:
+        vals[0] = p * draw(st.integers(0, p ** (prec[0] - 1) - 1)) + draw(st.integers(1, p - 1))
+    return ZpTSeries(p, b, vals, prec)
+
+
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_tseries_mul_matches_schoolbook(data, p, b):
+    x, y = data.draw(tseries(p, b)), data.draw(tseries(p, b))
+    got, want = x * y, schoolbook(x, y)
+    assert (got.vals, got.prec) == (want.vals, want.prec)
+
+
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_tseries_inverse_matches_recurrence(data, p, b):
+    x = data.draw(tseries(p, b, unit=True))
+    got, want = x.inverse(), recurrence_inverse(x)
+    assert (got.vals, got.prec) == (want.vals, want.prec)
 
 
 def test_tseries_vT():
