@@ -143,10 +143,6 @@ def serialize_lseries(coeffs, digits: int) -> list[list[str]]:
     return out
 
 
-def parse_lseries(block: list[list[str]]) -> list[list[int]]:
-    return [[int(s) for s in row] for row in block]
-
-
 def effective_digits(coeffs) -> int:
     return min(min(c.prec) for c in coeffs)
 
@@ -263,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config document")
         sp.add_argument("--p", type=int)
         sp.add_argument("--geometry", choices=sorted(_GEOMETRIES))
-        sp.add_argument("--f", help="monomials of f as 'u:c,u:c,...'")
+        sp.add_argument("--f", help="monomials of f as 'u:c,u:c,...'; write a "
+                                    "negative first exponent as --f=-1:1")
         sp.add_argument("--prec-p", type=int, dest="a", help="p-adic digits a")
         sp.add_argument("--prec-T", type=int, dest="b", help="T-adic order b")
         sp.add_argument("--s-degree", type=int, dest="smax")

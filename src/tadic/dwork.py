@@ -171,9 +171,6 @@ class NuclearMatrix:
             return u + 1
         return u
 
-    def entry(self, v: int, u: int) -> ZpTSeries:
-        return self.entries[v][u]
-
 
 def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     """(offset, size) of the monomial basis used for degree i."""

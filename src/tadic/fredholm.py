@@ -11,6 +11,10 @@ separate so they can cross-check each other:
             = det(1 - s M_k) * (1 - a s - sum_j s^(j+2) R M_k^j C),
 
     so the determinant is a product of N explicitly computable factors.
+    Each factor 1 - sum_j g_j s^(j+1), with g = (a, R C, R M_k C, ...),
+    is applied in place: coefficient n of the running series becomes
+    c_n - sum_j g_j c_(n-1-j), for n from smax down to 1, so the
+    coefficients below n still hold their old values when it is read.
     Only ring additions and multiplications occur: no division, hence no
     p-adic precision loss and manifest integrality of the coefficients.
 
@@ -43,9 +47,6 @@ class FredholmSeries:
     def smax(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> ZpTSeries:
-        return self.coeffs[k]
-
     def assert_integral(self) -> None:
         """The representation cannot hold negative p-powers; what is
         checked is that no coefficient lost working digits, i.e. the
@@ -76,25 +77,11 @@ def _packed_rows(M: NuclearMatrix) -> tuple[Packer, list[list[int]]]:
     """The matrix with every entry packed, and the packer, whose limbs
     hold a whole row-times-column accumulation of length N."""
     first = M.entries[0][0]
-    w = first.prec[0]
-    if first.prec.count(w) != first.b:
+    uniform = (first.prec[0],) * first.b
+    if any(e.prec != uniform for row in M.entries for e in row):
         raise CertificateError("matrix entries must carry uniform precision")
-    pk = packer(first.p, first.b, w, M.size)
+    pk = packer(first.p, first.b, uniform[0], M.size)
     return pk, [[pk.pack(e) for e in row] for row in M.entries]
-
-
-def _poly_mul_trunc(a: list[ZpTSeries], t: list[ZpTSeries], smax: int) -> list[ZpTSeries]:
-    out: list[ZpTSeries | None] = [None] * (smax + 1)
-    for i, ai in enumerate(a):
-        if i > smax:
-            break
-        for j, tj in enumerate(t):
-            if i + j > smax:
-                break
-            term = ai * tj
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    zero = a[0] - a[0]
-    return [c if c is not None else zero for c in out]
 
 
 def char_series(M: NuclearMatrix, smax: int,
@@ -107,8 +94,7 @@ def char_series(M: NuclearMatrix, smax: int,
     Ordering `idx` first is a permutation similarity of M, so the
     determinant is unchanged.  The caller certifies that B is that block."""
     pk, rows = _packed_rows(M)
-    one = ZpTSeries.one(pk.p, pk.b, pk.w)
-    result = [one] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
+    result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
     start = 0
     if base is not None:
         done, idx = base
@@ -121,15 +107,21 @@ def char_series(M: NuclearMatrix, smax: int,
         rows = [[rows[v][u] for u in order] for v in order]
         result, start = list(done.coeffs), len(idx)
     for k in range(start, M.size):
-        factor = [one, -pk.unpack(rows[k][k])]
-        if k > 0 and smax >= 2:
+        # the factor is 1 - sum_j g[j] s^(j+1): g = [a, R C, R M_k C, ...]
+        g = [pk.unpack(rows[k][k])]
+        if k > 0:
             vec = [rows[i][k] for i in range(k)]   # the bordering column
-            for j in range(smax - 1):
+            for j in range(1, smax):
                 # zip stops at len(vec) = k: the leading k x k block
-                factor.append(-pk.unpack(pk.dot(rows[k], vec)))
-                if j < smax - 2:
+                g.append(pk.unpack(pk.dot(rows[k], vec)))
+                if j < smax - 1:
                     vec = [pk.dot(rows[i], vec) for i in range(k)]
-        result = _poly_mul_trunc(result, factor, smax)
+        # multiply by the factor in place; going down keeps result[< n] old
+        for n in range(smax, 0, -1):
+            acc = result[n]
+            for j in range(min(n, len(g))):
+                acc = acc - g[j] * result[n - 1 - j]
+            result[n] = acc
     out = FredholmSeries(tuple(result))
     out.assert_integral()
     return out
@@ -158,7 +150,7 @@ def l_from_traces(sums: list[ZpTSeries], smax: int) -> LFunctionSeries:
         raise ValueError(f"need {smax} power sums, got {len(sums)}")
     first = sums[0]
     p, b = first.p, first.b
-    w = max(max(c.prec) for c in sums) if sums else 1
+    w = max(max(c.prec) for c in sums)
     h = [ZpTSeries.one(p, b, w)]
     for k in range(1, smax + 1):
         acc = ZpTSeries.zero(p, b, w)

@@ -88,16 +88,11 @@ def default_ef_bound(tower: TowerInput, prof: PrecisionProfile) -> int:
 
 
 def splitting_factor(c: int, u: int, prof: PrecisionProfile,
-                     geometry: Geometry, bound: int,
-                     pi: ZpTSeries | None = None) -> XSeries:
-    """The factor E(pi [c] x^u): a finite sum, since pi^k dies mod T^b
-    and x^{ku} leaves the retained window."""
-    c = c % prof.p
-    if c == 0:
-        return XSeries.one(prof, geometry, bound)
-    if pi is None:
-        pi = pi_from_T(prof)
-    kmax = min(prof.b - 1, bound // abs(u)) if u != 0 else prof.b - 1
+                     geometry: Geometry, bound: int, pi: ZpTSeries) -> XSeries:
+    """The factor E(pi [c] x^u) for a monomial of a tower (c != 0 mod p,
+    u != 0): a finite sum, since pi^k dies mod T^b and x^{ku} leaves the
+    retained window."""
+    kmax = min(prof.b - 1, bound // abs(u))
     units = artin_hasse_units(prof, max(kmax, 1))
     lift = teichmuller_int(c, prof.p, prof.work)
     out: dict[int, ZpTSeries] = {}

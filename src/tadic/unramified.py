@@ -170,8 +170,6 @@ class UnramifiedApprox:
         if isinstance(other, ZpApprox):
             return self._new([a * other.residue for a in self.coords],
                              min(self.known, other.known))
-        if isinstance(other, int):
-            return self._new([a * other for a in self.coords], self.known)
         self._check(other)
         known = min(self.known, other.known)
         return self._new(_mulmod(self.coords, other.coords, self.modulus,
@@ -205,9 +203,6 @@ class UnramifiedApprox:
     def root(cls, p, modulus, known) -> "UnramifiedApprox":
         """x, which generates F_q^x mod p."""
         return cls(p, modulus, _root(modulus), known)
-
-    def residue_coords(self) -> tuple[int, ...]:
-        return tuple(c % self.p for c in self.coords)
 
 
 def teichmuller_lift(x0: UnramifiedApprox, prof) -> UnramifiedApprox:

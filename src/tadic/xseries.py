@@ -55,9 +55,6 @@ class XSeries:
     def exponents(self):
         return sorted(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self) -> str:
         tag = " d*" if self.differential else ""
         return f"XSeries({self.geometry.value}{tag}, deg<= {self.bound}, {len(self.coeffs)} terms)"

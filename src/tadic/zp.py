@@ -106,9 +106,6 @@ class ZpApprox:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ZpApprox":
-        return ZpApprox(self.p, pow(self.residue, n, ppow(self.p, self.known)), self.known)
-
     def divexact(self, n: int) -> "ZpApprox":
         """Divide by a nonzero integer, removing v_p(n) known digits.
 
@@ -137,13 +134,6 @@ class ZpApprox:
         if self.residue % self.p == 0:
             raise ZeroDivisionError("not a unit at known precision")
         return ZpApprox(self.p, pow(self.residue, -1, ppow(self.p, self.known)), self.known)
-
-    def reduced(self, digits: int) -> "ZpApprox":
-        return ZpApprox(self.p, self.residue, min(self.known, digits))
-
-    def is_zero(self) -> bool:
-        """Indistinguishable from zero at known precision."""
-        return self.residue == 0
 
     def agrees_with(self, other: "ZpApprox") -> bool:
         """Equality of residues at the joint known precision."""

@@ -15,11 +15,15 @@ from tadic.cli import (
     JobConfig,
     main,
     parse_f_spec,
-    parse_lseries,
     run,
 )
 from tadic.errors import UsageError
 from tadic.profile import PRIME_TEST_BOUND, is_prime
+
+
+def parse_lseries(block):
+    """A serialized L block back to integers: s-index -> T-index -> residue."""
+    return [[int(s) for s in row] for row in block]
 
 
 def test_parse_f_spec():
@@ -117,6 +121,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "usage error" in err
+
+
+def test_main_reads_negative_first_exponent_joined_to_flag():
+    # "--f -1:1" would read -1:1 as an option; the joined form is the documented one
+    assert main(["lfun", "--p", "2", "--geometry", "torus", "--f=-1:1"]) == EXIT_OK
 
 
 def test_main_budget_exit_code(capsys):

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from tadic.dwork import NuclearMatrix, assemble_matrix
+from tadic.errors import CertificateError
 from tadic.fredholm import (
     FredholmSeries,
     char_series,
@@ -63,23 +65,29 @@ def test_char_series_one_by_one():
     lam = ZpTSeries.from_ints(2, 4, [3, 1, 2], prof.work)
     m = raw_matrix(prof, [[lam]])
     c = char_series(m, 3)
-    assert c.coeff(0).vals == ZpTSeries.one(2, 4, prof.work).vals
-    assert c.coeff(1).vals == (-lam).vals
-    assert c.coeff(2).is_zero() and c.coeff(3).is_zero()
+    assert c.coeffs[0].vals == ZpTSeries.one(2, 4, prof.work).vals
+    assert c.coeffs[1].vals == (-lam).vals
+    assert c.coeffs[2].is_zero() and c.coeffs[3].is_zero()
 
 
 def test_char_series_matches_leibniz_oracle():
+    # s-orders 1 (no bordering terms), 2, N and N + 2 (past the degree),
+    # fresh and resumed past every leading block: equal vals and prec
     rng = random.Random(99)
-    for p in (2, 3):
+    for p in (2, 3, 5, 7):
         prof = profile(p=p, a=5, b=5)
-        w = prof.work
-        for n in (2, 3, 4, 5):
-            entries = random_entries(p, 5, w, n, rng)
-            m = raw_matrix(prof, entries)
-            got = char_series(m, 4)
-            want = brute_force_det_one_minus_sM(entries, 4)
-            for k in range(5):
-                assert got.coeff(k).agrees_with(want[k]), (p, n, k)
+        for n in range(1, 7):
+            entries = random_entries(p, 5, prof.work, n, rng)
+            oracle = brute_force_det_one_minus_sM(entries, n + 2)
+            for smax in sorted({1, 2, n, n + 2}):
+                want = [(c.vals, c.prec) for c in oracle[:smax + 1]]
+                got = char_series(raw_matrix(prof, entries), smax)
+                assert [(c.vals, c.prec) for c in got.coeffs] == want, (p, n, smax)
+                for m in range(1, n):
+                    lead = char_series(raw_matrix(prof, [row[:m] for row in entries[:m]]), smax)
+                    got = char_series(raw_matrix(prof, entries), smax,
+                                      base=(lead, list(range(m))))
+                    assert [(c.vals, c.prec) for c in got.coeffs] == want, (p, n, smax, m)
 
 
 def test_char_series_resumes_past_any_principal_block():
@@ -97,17 +105,30 @@ def test_char_series_resumes_past_any_principal_block():
             char_series(raw_matrix(prof, entries), 4, base=bad)
 
 
+def test_matrix_of_mixed_precision_is_refused():
+    # the packer would treat entry (1, 1) as known to the work precision
+    prof = profile(p=2, a=6, b=8)
+    m = assemble_matrix(build_Ef(TowerInput(2, Geometry.AFFINE_LINE, {1: 1}), prof), 0, prof)
+    entries = [list(row) for row in m.entries]
+    entries[1][1] = ZpTSeries(2, 8, entries[1][1].vals, (2,) * 8)
+    bad = replace(m, entries=entries)
+    with pytest.raises(CertificateError, match="uniform precision"):
+        char_series(bad, 4)
+    with pytest.raises(CertificateError, match="uniform precision"):
+        power_traces(bad, 4)
+
+
 def test_char_series_zero_tower():
     prof = profile(p=2, a=6, b=8, D=2)
     ef = build_Ef(TowerInput(2, Geometry.AFFINE_LINE, {}), prof)
     c = char_series(assemble_matrix(ef, 0, prof), 4)
     # det(1 - sM) = 1 - 2s: the only cycle is the fixed monomial 1
-    assert c.coeff(0).vals[0] == 1
-    assert c.coeff(1).vals[0] == (-2) % 2 ** prof.work
-    assert c.coeff(2).is_zero() and c.coeff(3).is_zero()
+    assert c.coeffs[0].vals[0] == 1
+    assert c.coeffs[1].vals[0] == (-2) % 2 ** prof.work
+    assert c.coeffs[2].is_zero() and c.coeffs[3].is_zero()
     c1 = char_series(assemble_matrix(ef, 1, prof), 4)
-    assert c1.coeff(0).vals[0] == 1
-    assert all(c1.coeff(k).is_zero() for k in range(1, 5))
+    assert c1.coeffs[0].vals[0] == 1
+    assert all(c1.coeffs[k].is_zero() for k in range(1, 5))
 
 
 def test_power_traces_zero_tower():
@@ -165,8 +186,12 @@ def test_series_inverse_in_s():
     ones = [ZpTSeries.one(2, 5, w)] + [ZpTSeries.zero(2, 5, w)] * 4
     inv = l_from_char_series(FredholmSeries(tuple(ones)), FredholmSeries(tuple(coeffs)))
     # product must be 1
-    from tadic.fredholm import _poly_mul_trunc
-    prod = _poly_mul_trunc(coeffs, list(inv.coeffs), 4)
+    prod = []
+    for k in range(5):
+        acc = coeffs[0] * inv.coeffs[k]
+        for j in range(1, k + 1):
+            acc = acc + coeffs[j] * inv.coeffs[k - j]
+        prod.append(acc)
     assert prod[0].vals[0] == 1
     assert all(c.is_zero() for c in prod[1:])
 
@@ -178,8 +203,8 @@ def test_trace_formula_zero_tower_torus():
     m1 = assemble_matrix(ef, 1, prof)
     c0 = char_series(m0, 4)
     c1 = char_series(m1, 4)
-    assert c0.coeff(1).vals[0] == (-2) % 2 ** prof.work
-    assert c1.coeff(1).vals[0] == (-1) % 2 ** prof.work
+    assert c0.coeffs[1].vals[0] == (-2) % 2 ** prof.work
+    assert c1.coeffs[1].vals[0] == (-1) % 2 ** prof.work
     lf = l_from_char_series(c0, c1)
     # (1-2s)/(1-s) = 1 - s - s^2 - s^3 - ...
     assert lf.coeff(0).vals[0] == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tadic.fredholm import _poly_mul_trunc, l_from_traces
+from tadic.fredholm import l_from_traces
 from tadic.profile import PrecisionProfile
 from tadic.series import artin_hasse_fractions, artin_hasse_units, pi_from_T
 from tadic.xseries import Geometry, XSeries
@@ -61,9 +61,12 @@ def test_exp_homomorphism_random():
         r2 = [[3 * rng.randrange(3 ** 6) for _ in range(b)] for _ in range(4)]
         r12 = [[x + y for x, y in zip(u, v)] for u, v in zip(r1, r2)]
         lhs = exp_of(p, b, w, r12)
-        rhs = _poly_mul_trunc(list(exp_of(p, b, w, r1)), list(exp_of(p, b, w, r2)), 4)
+        e1, e2 = exp_of(p, b, w, r1), exp_of(p, b, w, r2)
         for k in range(5):
-            assert lhs[k].agrees_with(rhs[k])
+            rhs = e1[0] * e2[k]
+            for j in range(1, k + 1):
+                rhs = rhs + e1[j] * e2[k - j]
+            assert lhs[k].agrees_with(rhs)
 
 
 def test_derivative_recurrence_identity():
@@ -141,7 +144,7 @@ def test_xseries_mul():
     assert list(t.coeffs) == [0]
     # truncation discards out-of-range exponents
     top = XSeries.monomial(prof, Geometry.AFFINE_LINE, 4, 4)
-    assert (top * x).is_zero()
+    assert not (top * x).coeffs
 
 
 def test_xseries_geometry_mismatch():

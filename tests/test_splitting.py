@@ -39,10 +39,11 @@ def test_tower_input_normalization():
 
 
 def test_splitting_factor_zero_coefficient():
+    # a coefficient 0 mod p gives the factor 1: the tower drops the monomial
     prof = profile()
-    f = splitting_factor(0, 1, prof, Geometry.AFFINE_LINE, 6)
-    assert list(f.coeffs) == [0]
-    assert f.coeff(0).vals == (1,) + (0,) * (prof.b - 1)
+    ef = build_Ef(TowerInput(2, Geometry.AFFINE_LINE, {1: 2, 3: 0}), prof)
+    assert list(ef.series.coeffs) == [0]
+    assert ef.ef(0).vals == (1,) + (0,) * (prof.b - 1)
 
 
 def test_splitting_factor_single_monomial():

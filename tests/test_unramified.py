@@ -80,7 +80,7 @@ def test_teichmuller_cube_root_of_unity():
     omega = UnramifiedApprox(2, m, (0, 1), prof.work)
     t = teichmuller_lift(omega, prof)
     assert (t ** 3).coords == UnramifiedApprox.one(2, m, prof.work).coords
-    assert t.residue_coords() == (0, 1)
+    assert tuple(c % 2 for c in t.coords) == (0, 1)
     assert (t ** 4).coords == t.coords
 
 
