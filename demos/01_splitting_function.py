@@ -19,8 +19,9 @@ p = 2
 prof = PrecisionProfile.create(p, a=6, b=8, smax=4, dmax=4)
 print(f"profile: p={p}, {prof.a} reported digits, {prof.guard} guard digits, T^{prof.b}")
 
-# Teichmuller lifts: the root-of-unity representatives in Z_p
-print("\nTeichmuller lift of 2 in Z_3 (27-adic):", teichmuller_int(2, 3, 3).residue)
+# Teichmuller lifts: the root-of-unity representatives in Z_p; a scalar
+# is a plain int, a residue at the precision asked for (here 3^3)
+print("\nTeichmuller lift of 2 in Z_3 (27-adic):", teichmuller_int(2, 3, 3))
 
 # The Artin-Hasse exponential is p-integral even though exp is not
 coeffs = artin_hasse_fractions(p, 8)

@@ -213,36 +213,40 @@ def _check_fiber_identity(run: TraceFormulaRun, max_degree: int = 2) -> tuple[bo
 
 def _check_semilinearity(run: TraceFormulaRun, trials: int = 20,
                          seed: int = 7) -> tuple[bool, str]:
-    from .dwork import theta0_apply, theta1_apply
+    """theta_i(sigma(g) h) = g theta_i(h) for random g and monomial h, and
+    the matrices' entry rule: column h of `psi_entries` with E := g is
+    theta_i(g h) on the theta gate's window |u| <= 3p."""
+    from .dwork import psi_entries, theta0_apply, theta1_apply
     from .xseries import XSeries
 
     prof = run.prof
     rng = random.Random(seed)
     geometry = run.tower.geometry
     p, b, w = prof.p, prof.b, prof.work
-    lo = 0 if geometry is Geometry.AFFINE_LINE else -2
+    affine = geometry is Geometry.AFFINE_LINE
+    lo = 0 if affine else -2
     # sigma(g) h reaches |exponent| 2p + 2; a narrower window would cut
     # terms from the left-hand side only and report a false failure
     window = max(prof.D, 2 * p + 2)
+    exps = range(0 if affine else -3 * p, 3 * p + 1)
     for trial in range(trials):
         gdeg = rng.randrange(lo, 3)
         hdeg = rng.randrange(lo, 3)
-        g = XSeries(run.ef.series.prof, geometry, window, {
+        col = exps.index(hdeg)
+        g = XSeries(prof, geometry, window, {
             gdeg: ZpTSeries.from_ints(p, b, [rng.randrange(p ** w) for _ in range(b)], w)})
-        h = XSeries(run.ef.series.prof, geometry, window, {
-            hdeg: ZpTSeries.from_ints(p, b, [rng.randrange(p ** w) for _ in range(b)], w)})
-        lhs = theta0_apply(g.frobenius_pullback() * h)
-        rhs = g * theta0_apply(h)
-        for u in set(lhs.coeffs) | set(rhs.coeffs):
-            if not lhs.coeff(u).agrees_with(rhs.coeff(u)):
-                return False, f"theta0 trial {trial}"
-        hd = XSeries(run.ef.series.prof, geometry, window,
-                     {hdeg: h.coeff(hdeg)}, differential=True)
-        lhs = theta1_apply(g.frobenius_pullback() * hd)
-        rhs = g * theta1_apply(hd)
-        for u in set(lhs.coeffs) | set(rhs.coeffs):
-            if not lhs.coeff(u).agrees_with(rhs.coeff(u)):
-                return False, f"theta1 trial {trial}"
+        c = ZpTSeries.from_ints(p, b, [rng.randrange(p ** w) for _ in range(b)], w)
+        for i, theta in enumerate((theta0_apply, theta1_apply)):
+            h = XSeries(prof, geometry, window, {hdeg: c}, differential=i == 1)
+            lhs = theta(g.frobenius_pullback() * h)
+            rhs = g * theta(h)
+            for u in set(lhs.coeffs) | set(rhs.coeffs):
+                if not lhs.coeff(u).agrees_with(rhs.coeff(u)):
+                    return False, f"theta{i} trial {trial}"
+            gh = theta(g * h)
+            for v, row in zip(exps, psi_entries(g.coeffs, i, prof, geometry, exps)):
+                if not (row[col] * c).agrees_with(gh.coeff(v)):
+                    return False, f"psi_{i} lookup rule, trial {trial}"
     return True, ""
 
 

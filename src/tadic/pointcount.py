@@ -36,7 +36,7 @@ from .unramified import (
     unramified_trace,
 )
 from .xseries import Geometry
-from .zp import ZpApprox, ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
+from .zp import ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 
 # Points of one degree.  A degree holds q - 1 trace residues, a q - 1 byte
 # orbit mask and the orbit list at once: tracemalloc measured a peak of
@@ -66,7 +66,7 @@ def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
     power = one
     tr = []
     for _ in range(order):
-        tr.append(unramified_trace(power).residue)
+        tr.append(unramified_trace(power))
         power = power * ghat
     if power.coords != one.coords:
         raise CertificateError(f"Teichmuller generator: g^{order} != 1 mod {p}^{w}")
@@ -106,7 +106,7 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     order = ppow(p, d) - 1
     torus = tower.geometry is Geometry.TORUS
     tr = _generator_traces(p, d, prof)
-    terms = [(u % order, teichmuller_int(c, p, w).residue)
+    terms = [(u % order, teichmuller_int(c, p, w))
              for u, c in tower.f_coeffs.items()]
     m = ppow(p, w)
     # x = 0 lies on the affine line only, and f(0) = 0 there
@@ -115,7 +115,7 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
         weights[sum(c * tr[k * u % order] for u, c in terms) % m] += size
     acc = ZpTSeries.zero(p, prof.b, w)
     for t, n in weights.items():
-        acc = acc + one_plus_T_pow(ZpApprox(p, t, w), prof).scale(n)
+        acc = acc + one_plus_T_pow(t, prof).scale(n)
     # at T = 0 every summand is 1, so the sum counts the points
     count = order + (0 if torus else 1)
     if acc.vals[0] % p ** prof.a != count % p ** prof.a:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CertificateError, PrecisionError
-from .zp import ZpApprox, ZpTSeries, ppow
+from .zp import ZpTSeries, ppow
 
 
 def artin_hasse_fractions(p: int, order: int) -> list[Fraction]:
@@ -41,24 +41,20 @@ def artin_hasse_fractions(p: int, order: int) -> list[Fraction]:
     return h
 
 
-def artin_hasse_units(prof, order: int) -> list[ZpApprox]:
+def artin_hasse_units(prof, order: int) -> list[int]:
     """Artin-Hasse coefficients reduced mod p^work."""
-    p = prof.p
-    w = prof.work
-    m = ppow(p, w)
-    out = []
-    for c in artin_hasse_fractions(p, order):
-        r = (c.numerator % m) * pow(c.denominator % m, -1, m) % m
-        out.append(ZpApprox(p, r, w))
-    return out
+    m = ppow(prof.p, prof.work)
+    return [(c.numerator % m) * pow(c.denominator % m, -1, m) % m
+            for c in artin_hasse_fractions(prof.p, order)]
 
 
-def _eval_poly_at_series(units: list[ZpApprox], x: ZpTSeries) -> ZpTSeries:
-    """Horner evaluation of a scalar-coefficient polynomial at a T-series."""
-    b = x.b
-    acc = ZpTSeries.from_scalar(units[-1], b)
+def _eval_poly_at_series(units: list[int], x: ZpTSeries, w: int) -> ZpTSeries:
+    """Horner evaluation of a polynomial with coefficients mod p^w at a
+    T-series."""
+    p, b = x.p, x.b
+    acc = ZpTSeries.from_ints(p, b, [units[-1]], w)
     for c in reversed(units[:-1]):
-        acc = acc * x + ZpTSeries.from_scalar(c, b)
+        acc = acc * x + ZpTSeries.from_ints(p, b, [c], w)
     return acc
 
 
@@ -68,19 +64,19 @@ def pi_from_T(prof) -> ZpTSeries:
     so each division is by a unit and costs no precision."""
     p, b, w = prof.p, prof.b, prof.work
     units = artin_hasse_units(prof, max(b - 1, 1))
-    dunits = [u * k for k, u in enumerate(units)][1:] or [ZpApprox(p, 1, w)]
+    dunits = [u * k for k, u in enumerate(units)][1:] or [1]
     one_plus_T = ZpTSeries.from_ints(p, b, [1, 1], w)
     pi = ZpTSeries.from_ints(p, b, [0, 1], w)
     steps = 0
     while True:
-        err = _eval_poly_at_series(units, pi) - one_plus_T
+        err = _eval_poly_at_series(units, pi, w) - one_plus_T
         if err.is_zero():
             break
         steps += 1
         if steps > b.bit_length() + 4:
             raise PrecisionError("pi iteration failed to converge")
-        deriv = _eval_poly_at_series(dunits, pi)
+        deriv = _eval_poly_at_series(dunits, pi, w)
         pi = pi - err * deriv.inverse()
-    if not (_eval_poly_at_series(units, pi) - one_plus_T).is_zero():
+    if not (_eval_poly_at_series(units, pi, w) - one_plus_T).is_zero():
         raise CertificateError("E(pi) != 1 + T after iteration")
     return pi

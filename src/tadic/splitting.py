@@ -19,7 +19,7 @@ from .profile import PrecisionProfile
 from .series import artin_hasse_units, pi_from_T
 from .unramified import UnramifiedApprox, unramified_trace
 from .xseries import Geometry, XSeries
-from .zp import ZpApprox, ZpTSeries, one_plus_T_pow, teichmuller_int
+from .zp import ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,13 @@ def splitting_factor(c: int, u: int, prof: PrecisionProfile,
     units = artin_hasse_units(prof, max(kmax, 1))
     lift = teichmuller_int(c, prof.p, prof.work)
     out: dict[int, ZpTSeries] = {}
+    m = ppow(prof.p, prof.work)
     pik = ZpTSeries.one(prof.p, prof.b, prof.work)
-    liftk = ZpApprox(prof.p, 1, prof.work)
+    liftk = 1
     for k in range(kmax + 1):
         out[k * u] = pik.scale(units[k] * liftk)
         pik = pik * pi
-        liftk = liftk * lift
+        liftk = liftk * lift % m
     return XSeries(prof, geometry, bound, out)
 
 
@@ -135,15 +136,18 @@ def build_Ef(tower: TowerInput, prof: PrecisionProfile,
 def evaluate_ef_at_point(ef: SplittingFunction,
                          point: UnramifiedApprox) -> list[UnramifiedApprox]:
     """E_f at a Teichmuller point: a T-expansion with coefficients in the
-    unramified ring.  Entry j is the T^j coefficient."""
-    prof = ef.profile
-    b = prof.b
+    unramified ring.  Entry j is the T^j coefficient.  The point and every
+    coefficient of E_f must be known to the same precision."""
+    b = ef.profile.b
     out = [UnramifiedApprox.zero(point.p, point.modulus, point.known) for _ in range(b)]
     for u, c in ef.series.coeffs.items():
+        if any(k != point.known for k in c.prec):
+            raise CertificateError(f"E_f coefficient x^{u} is not known to "
+                                   f"the {point.known} digits of the point")
         xu = point ** u
         for j in range(b):
             if c.vals[j]:
-                out[j] = out[j] + xu * ZpApprox(prof.p, c.vals[j], c.prec[j])
+                out[j] = out[j] + xu * c.vals[j]
     return out
 
 
@@ -194,5 +198,7 @@ def fiber_character_value(tower: TowerInput, residue_coords, modulus,
     x0 = UnramifiedApprox(p, modulus, residue_coords, w)
     t = teichmuller_lift(x0, prof)
     val = tower.evaluate_teichmuller(t)
-    tr = unramified_trace(val)
-    return one_plus_T_pow(tr, prof)
+    if val.known != prof.work:
+        raise CertificateError(f"f at a Teichmuller point is known to "
+                               f"{val.known} digits, not {prof.work}")
+    return one_plus_T_pow(unramified_trace(val), prof)

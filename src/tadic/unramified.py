@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import CertificateError, UsageError
-from .zp import ZpApprox, ppow
+from .zp import ppow
 
 
 # the ring product, and the order test over F_p ------------------------------
@@ -167,9 +167,8 @@ class UnramifiedApprox:
         return self._new([-a for a in self.coords], self.known)
 
     def __mul__(self, other) -> "UnramifiedApprox":
-        if isinstance(other, ZpApprox):
-            return self._new([a * other.residue for a in self.coords],
-                             min(self.known, other.known))
+        if isinstance(other, int):
+            return self._new([a * other for a in self.coords], self.known)
         self._check(other)
         known = min(self.known, other.known)
         return self._new(_mulmod(self.coords, other.coords, self.modulus,
@@ -236,11 +235,12 @@ def _power_sums(modulus: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s)
 
 
-def unramified_trace(e: UnramifiedApprox) -> ZpApprox:
-    """Trace of multiplication by e: linear in the coordinates, with the
-    power sums of the modulus as the trace of the power basis."""
+def unramified_trace(e: UnramifiedApprox) -> int:
+    """Trace of multiplication by e, mod p^known: linear in the
+    coordinates, with the power sums of the modulus as the trace of the
+    power basis."""
     tr = sum(c * s for c, s in zip(e.coords, _power_sums(e.modulus)))
-    return ZpApprox(e.p, tr, e.known)
+    return tr % ppow(e.p, e.known)
 
 
 def field_elements(p: int, d: int):

@@ -1,10 +1,10 @@
 """Exact truncated arithmetic in Z_p and Z_p[[T]].
 
-Elements carry their own precision.  A ZpApprox holds a residue mod
-p^known together with the number of known digits; arithmetic never
-reports more digits than its inputs justify (min rule for sums and
-products, explicit digit loss for exact divisions).  A ZpTSeries is a
-vector of b such coefficients, one per power of T.
+A scalar is a plain int, a residue mod p^w at the working precision w;
+sums and products of scalars lose nothing.  Digits are lost only by
+exact division (`divexact`: by k! in the binomial series, by k in the
+exp recurrence), and only T-series record them: a ZpTSeries is a vector
+of b residues, one per power of T, each with its own known precision.
 
 The precision rule of a T-series product: coefficient n of x*y sums
 x_i y_j over i + j = n, so it is known to the least precision among the
@@ -53,98 +53,34 @@ class Valuation(NamedTuple):
     exact: bool
 
 
-class ZpApprox:
-    """A p-adic integer known mod p^known."""
+def divexact(p: int, residue: int, known: int, n: int) -> tuple[int, int]:
+    """Divide a residue known mod p^known by a nonzero integer n, removing
+    v_p(n) known digits; returns the quotient and the digits left.
 
-    __slots__ = ("p", "residue", "known")
-
-    def __init__(self, p: int, residue: int, known: int):
-        if known <= 0:
-            raise PrecisionError("no p-adic digits left")
-        self.p = p
-        self.known = known
-        self.residue = residue % ppow(p, known)
-
-    def __repr__(self) -> str:
-        return f"ZpApprox({self.residue} mod {self.p}^{self.known})"
-
-    def _coerce(self, other) -> "ZpApprox":
-        if isinstance(other, ZpApprox):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, int):
-            # exact integers enter at our own precision
-            return ZpApprox(self.p, other, self.known)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.known, o.known)
-        return ZpApprox(self.p, self.residue + o.residue, k)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZpApprox":
-        return ZpApprox(self.p, -self.residue, self.known)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.known, o.known)
-        return ZpApprox(self.p, self.residue - o.residue, k)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.known, o.known)
-        return ZpApprox(self.p, self.residue * o.residue, k)
-
-    __rmul__ = __mul__
-
-    def divexact(self, n: int) -> "ZpApprox":
-        """Divide by a nonzero integer, removing v_p(n) known digits.
-
-        The unit part is inverted exactly; the p-power part must divide the
-        residue, otherwise the value is (at this precision) not divisible
-        and the division cannot be represented."""
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        v = vp_int(n, self.p)
-        unit = n // ppow(self.p, v) if v else n
-        if v:
-            if self.known - v <= 0:
-                raise PrecisionError(f"dividing by p^{v} exhausts {self.known} digits")
-            if self.residue % ppow(self.p, v) != 0:
-                raise PrecisionError(
-                    f"residue {self.residue} not divisible by p^{v} at known precision"
-                )
-            k = self.known - v
-            r = self.residue // ppow(self.p, v)
-        else:
-            k = self.known
-            r = self.residue
-        return ZpApprox(self.p, r * pow(unit, -1, ppow(self.p, k)), k)
-
-    def unit_inverse(self) -> "ZpApprox":
-        if self.residue % self.p == 0:
-            raise ZeroDivisionError("not a unit at known precision")
-        return ZpApprox(self.p, pow(self.residue, -1, ppow(self.p, self.known)), self.known)
-
-    def agrees_with(self, other: "ZpApprox") -> bool:
-        """Equality of residues at the joint known precision."""
-        k = min(self.known, other.known)
-        m = ppow(self.p, k)
-        return self.residue % m == other.residue % m
+    The unit part is inverted exactly; the p-power part must divide the
+    residue, otherwise the value is (at this precision) not divisible
+    and the division cannot be represented."""
+    if n == 0:
+        raise ZeroDivisionError("division by zero")
+    v = vp_int(n, p)
+    residue %= ppow(p, known)
+    if v:
+        if known - v <= 0:
+            raise PrecisionError(f"dividing by p^{v} exhausts {known} digits")
+        if residue % ppow(p, v) != 0:
+            raise PrecisionError(
+                f"residue {residue} not divisible by p^{v} at known precision"
+            )
+        known -= v
+        residue //= ppow(p, v)
+        n //= ppow(p, v)
+    m = ppow(p, known)
+    return residue * pow(n, -1, m) % m, known
 
 
-def teichmuller_int(c: int, p: int, digits: int) -> ZpApprox:
-    """The Teichmuller lift of c mod p in Z_p: the unique root of
-    x^p = x congruent to c, found by iterating the p-power map."""
+def teichmuller_int(c: int, p: int, digits: int) -> int:
+    """The Teichmuller lift of c mod p in Z_p, mod p^digits: the unique
+    root of x^p = x congruent to c, found by iterating the p-power map."""
     m = ppow(p, digits)
     t = c % m
     for _ in range(digits + 2):
@@ -154,7 +90,7 @@ def teichmuller_int(c: int, p: int, digits: int) -> ZpApprox:
         t = t2
     else:
         raise CertificateError("Teichmuller iteration failed to stabilize")
-    return ZpApprox(p, t, digits)
+    return t
 
 
 # T-series layer ------------------------------------------------------------
@@ -256,13 +192,6 @@ class ZpTSeries:
         ints += [0] * (b - len(ints))
         return cls(p, b, ints, (known,) * b)
 
-    @classmethod
-    def from_scalar(cls, c: ZpApprox, b: int) -> "ZpTSeries":
-        return cls(c.p, b, (c.residue,) + (0,) * (b - 1), (c.known,) * b)
-
-    def coeff(self, j: int) -> ZpApprox:
-        return ZpApprox(self.p, self.vals[j], self.prec[j])
-
     def __repr__(self) -> str:
         return f"ZpTSeries(p={self.p}, {list(self.vals)})"
 
@@ -293,27 +222,24 @@ class ZpTSeries:
         pk, prec = _product_layout(self.p, self.b, self.prec, other.prec)
         return pk.unpack(pk.pack(self) * pk.pack(other), prec)
 
-    def scale(self, c) -> "ZpTSeries":
-        """Multiply every coefficient by an integer or a ZpApprox."""
-        if isinstance(c, ZpApprox):
-            if c.p != self.p:
-                raise ValueError("mixed primes")
-            vals = [v * c.residue for v in self.vals]
-            prec = [min(k, c.known) for k in self.prec]
-            return ZpTSeries(self.p, self.b, vals, prec)
+    def scale(self, c: int) -> "ZpTSeries":
+        """Multiply every coefficient by an integer."""
         return ZpTSeries(self.p, self.b, [v * c for v in self.vals], self.prec)
 
     def divexact(self, n: int) -> "ZpTSeries":
-        out = [self.coeff(j).divexact(n) for j in range(self.b)]
-        return ZpTSeries(self.p, self.b, [c.residue for c in out], [c.known for c in out])
+        """Divide every coefficient by n (`divexact` per coefficient)."""
+        out = [divexact(self.p, v, k, n) for v, k in zip(self.vals, self.prec)]
+        return ZpTSeries(self.p, self.b, [r for r, _ in out], [k for _, k in out])
 
     def inverse(self) -> "ZpTSeries":
         """Inverse of a series whose constant term is a p-adic unit, by
         Newton's iteration y <- y (2 - x y) from the inverse of that term;
         each step doubles the T-adic order to which y is right."""
-        i0 = self.coeff(0).unit_inverse()
-        y = ZpTSeries.from_scalar(i0, self.b)
-        two = ZpTSeries.from_scalar(ZpApprox(self.p, 2, i0.known), self.b)
+        p, b, k = self.p, self.b, self.prec[0]
+        if self.vals[0] % p == 0:
+            raise ZeroDivisionError("not a unit at known precision")
+        y = ZpTSeries.from_ints(p, b, [pow(self.vals[0], -1, ppow(p, k))], k)
+        two = ZpTSeries.from_ints(p, b, [2], k)
         right = 1
         while right < self.b:
             y = y * (two - self * y)
@@ -335,11 +261,10 @@ class ZpTSeries:
         return Valuation(self.b, False)
 
     def agrees_with(self, other: "ZpTSeries") -> bool:
+        """Equality of each coefficient at the joint known precision."""
         self._check(other)
-        for j in range(self.b):
-            if not self.coeff(j).agrees_with(other.coeff(j)):
-                return False
-        return True
+        return all((x - y) % ppow(self.p, min(k, l)) == 0 for x, y, k, l
+                   in zip(self.vals, other.vals, self.prec, other.prec))
 
     def reduced(self, digits: int) -> "ZpTSeries":
         return ZpTSeries(
@@ -353,19 +278,21 @@ class ZpTSeries:
         return tuple(v % m for v in self.vals)
 
 
-def one_plus_T_pow(c: ZpApprox, prof) -> ZpTSeries:
-    """The binomial series (1+T)^c for a p-adic integer exponent c.
+def one_plus_T_pow(t: int, prof) -> ZpTSeries:
+    """The binomial series (1+T)^t for a p-adic integer t known mod
+    p^work.
 
-    Coefficient k is C(c, k) = c(c-1)...(c-k+1) / k!; the division by k!
-    costs v_p(k!) digits, so coefficient k is known to c.known - v_p(k!)
+    Coefficient k is C(t, k) = t(t-1)...(t-k+1) / k!; the division by k!
+    costs v_p(k!) digits, so coefficient k is known to work - v_p(k!)
     digits."""
-    p, b = c.p, prof.b
+    p, b, w = prof.p, prof.b, prof.work
+    m = ppow(p, w)
     vals = [1]
-    prec = [c.known]
-    num = ZpApprox(p, 1, c.known)
+    prec = [w]
+    num = 1
     for k in range(1, b):
-        num = num * (c - (k - 1))
-        binom = num.divexact(math.factorial(k))
-        vals.append(binom.residue)
-        prec.append(binom.known)
+        num = num * (t - (k - 1)) % m
+        binom, known = divexact(p, num, w, math.factorial(k))
+        vals.append(binom)
+        prec.append(known)
     return ZpTSeries(p, b, vals, prec)

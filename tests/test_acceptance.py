@@ -236,9 +236,9 @@ def test_criterion_9_artin_hasse(compare_runs, slope_run):
     for prof in profiles:
         pi = pi_from_T(prof)
         units = artin_hasse_units(prof, prof.b - 1)
-        acc = ZpTSeries.from_scalar(units[-1], prof.b)
+        acc = ZpTSeries.from_ints(prof.p, prof.b, [units[-1]], prof.work)
         for c in reversed(units[:-1]):
-            acc = acc * pi + ZpTSeries.from_scalar(c, prof.b)
+            acc = acc * pi + ZpTSeries.from_ints(prof.p, prof.b, [c], prof.work)
         expect = ZpTSeries.from_ints(prof.p, prof.b, [1, 1], prof.work)
         assert acc.vals == expect.vals
     _ok("criterion 9 (Artin-Hasse integrality to order 32; E(pi) = 1+T)")

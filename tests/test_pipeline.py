@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tadic import dwork
+from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
 from tadic.pipeline import (
@@ -149,6 +151,30 @@ def test_semilinearity_check_passes_on_default_p7_profile(geometry):
     assert prof.D < 2 * 7 + 2
     run = run_trace_formula(TowerInput(7, geometry, {1: 1}), prof)
     assert _check_semilinearity(run) == (True, "")
+
+
+def test_selfcheck_checks_the_rule_the_matrices_use(monkeypatch):
+    # plant a torus-only error in psi_i's entry rule, E[|p v' - u'|] for
+    # E[p v' - u']: the theta gate sees only E := 1, and both matrices and
+    # their 2D extensions share the error, so of the selfcheck entries
+    # only the lookup-rule part of the semilinearity check can catch it
+    rule = dwork.psi_entries
+
+    def folded(coeffs, i, prof, geom, exps):
+        if geom is Geometry.TORUS:
+            coeffs = {s * j: c for j, c in coeffs.items() if j >= 0 for s in (1, -1)}
+        return rule(coeffs, i, prof, geom, exps)
+
+    monkeypatch.setattr(dwork, "psi_entries", folded)
+    kw = dict(a=4, b=5, smax=3, dmax=3)
+    report, code = run(JobConfig("selfcheck", 3, "torus", {2: 1, -1: 1}, **kw))
+    assert code == EXIT_MISMATCH
+    failed = [c for c in report["results"]["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["operator semilinearity"]
+    assert failed[0]["detail"].startswith("psi_0 lookup rule")
+    # the planted rule is a real fault: the two routes disagree
+    _, code = run(JobConfig("compare", 3, "torus", {2: 1, -1: 1}, **kw))
+    assert code == EXIT_MISMATCH
 
 
 @st.composite

@@ -1,6 +1,9 @@
 """Tests for truncated Z_p and Z_p[[T]] arithmetic."""
 
+import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from tadic.errors import PrecisionError, UsageError
 from tadic.profile import PrecisionProfile, default_guard, vp_factorial
-from tadic.zp import ZpApprox, ZpTSeries, one_plus_T_pow, teichmuller_int
+from tadic.zp import ZpTSeries, divexact, one_plus_T_pow, teichmuller_int
 
 
 def profile(p=2, a=6, b=8, smax=4, dmax=4):
@@ -25,44 +28,59 @@ def test_profile_validation():
     assert vp_factorial(8, 2) == 7
 
 
-def test_zp_basic_arithmetic():
-    p = 3
-    x = ZpApprox(p, 7, 5)
-    y = ZpApprox(p, 11, 5)
-    assert (x + y).residue == 18
-    assert (x * y).residue == 77 % 3 ** 5
-    assert (x - y).residue == (7 - 11) % 3 ** 5
-    assert (x + 2).residue == 9
-    assert (-x).residue == (-7) % 3 ** 5
-
-
 def test_zp_precision_min_rule():
-    p = 2
-    x = ZpApprox(p, 5, 6)
-    y = ZpApprox(p, 3, 4)
-    assert (x + y).known == 4
-    assert (x * y).known == 4
+    p, b = 2, 3
+    x = ZpTSeries(p, b, [5, 1, 2], [6, 6, 6])
+    y = ZpTSeries(p, b, [3, 1, 1], [4, 6, 6])
+    assert (x + y).prec == (4, 6, 6)
+    assert (x - y).prec == (4, 6, 6)
+    assert (x * y).prec == (4, 4, 4)
 
 
 def test_zp_divexact():
-    p = 2
-    x = ZpApprox(p, 12, 6)
-    q = x.divexact(4)
-    assert q.residue == 3 and q.known == 4
-    q = x.divexact(3)
-    assert q.residue == 4 % 2 ** 6 and q.known == 6
-    with pytest.raises(PrecisionError):
-        ZpApprox(p, 1, 6).divexact(2)
+    # 12 = 4 * 3 mod 2^6: dividing by 4 spends two digits, by 3 none
+    assert divexact(2, 12, 6, 4) == (3, 4)
+    assert divexact(2, 12, 6, 3) == (4, 6)
+    assert divexact(3, -6, 4, 6) == (-1 % 27, 3)
+    with pytest.raises(ZeroDivisionError):
+        divexact(2, 12, 6, 0)
+
+
+def test_zp_divexact_refuses_lost_digits():
+    # not divisible at the known precision
+    with pytest.raises(PrecisionError, match="not divisible"):
+        divexact(2, 1, 6, 2)
+    with pytest.raises(PrecisionError, match="not divisible"):
+        divexact(3, 3, 5, 9)
+    # dividing by p^v leaves no digit of a residue known to v digits
+    with pytest.raises(PrecisionError, match="exhausts"):
+        divexact(2, 0, 4, 16)
+    with pytest.raises(PrecisionError, match="exhausts"):
+        divexact(5, 25, 2, 50)
+
+
+@given(st.data(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 8), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_tseries_divexact_matches_fractions(data, p, b, v):
+    # the coefficients are p^v times anything, so they divide by n = p^v u
+    unit = data.draw(st.integers(1, 50).filter(lambda u: u % p))
+    n = data.draw(st.sampled_from([1, -1])) * p ** v * unit
+    prec = data.draw(st.lists(st.integers(v + 1, 12), min_size=b, max_size=b))
+    vals = [data.draw(st.integers(0, p ** k)) * p ** v for k in prec]
+    got = ZpTSeries(p, b, vals, prec).divexact(n)
+    for j, (x, k) in enumerate(zip(vals, prec)):
+        q, m = Fraction(x % p ** k, n), p ** (k - v)
+        assert got.prec[j] == k - v
+        assert got.vals[j] == q.numerator * pow(q.denominator, -1, m) % m
 
 
 def test_teichmuller_int_examples():
     # fixed point of x -> x^3 above 2 is -1
-    t = teichmuller_int(2, 3, 3)
-    assert t.residue == 26
-    assert teichmuller_int(0, 2, 10).residue == 0
+    assert teichmuller_int(2, 3, 3) == 26
+    assert teichmuller_int(0, 2, 10) == 0
     t = teichmuller_int(3, 5, 8)
-    assert pow(t.residue, 5, 5 ** 8) == t.residue
-    assert t.residue % 5 == 3
+    assert pow(t, 5, 5 ** 8) == t
+    assert t % 5 == 3
 
 
 def test_tseries_ring_ops():
@@ -91,15 +109,19 @@ def schoolbook(x, y):
 
 
 def recurrence_inverse(x):
-    """Reference inverse: y_k = -y_0 sum_{j=1..k} x_j y_(k-j) in ZpApprox."""
-    i0 = x.coeff(0).unit_inverse()
-    inv = [i0]
+    """Reference inverse: y_k = -y_0 sum_{j=1..k} x_j y_(k-j), each y_k
+    known to the least precision among the factors of its terms."""
+    k0 = x.prec[0]
+    y0 = pow(x.vals[0], -1, x.p ** k0)
+    vals, prec = [y0], [k0]
     for k in range(1, x.b):
-        acc = ZpApprox(x.p, 0, i0.known)
+        acc, known = 0, k0
         for j in range(1, k + 1):
-            acc = acc - x.coeff(j) * inv[k - j]
-        inv.append(acc * i0)
-    return ZpTSeries(x.p, x.b, [c.residue for c in inv], [c.known for c in inv])
+            acc -= x.vals[j] * vals[k - j]
+            known = min(known, x.prec[j], prec[k - j])
+        vals.append(acc * y0)
+        prec.append(known)
+    return ZpTSeries(x.p, x.b, vals, prec)
 
 
 @st.composite
@@ -163,13 +185,10 @@ def test_ring_laws(x, y, z):
 def test_one_plus_T_pow_trivial():
     prof = profile(p=2, a=6, b=4)
     w = prof.work
-    zero = ZpApprox(2, 0, w)
-    assert one_plus_T_pow(zero, prof).vals == (1, 0, 0, 0)
-    two = ZpApprox(2, 2, w)
-    s = one_plus_T_pow(two, prof)
+    assert one_plus_T_pow(0, prof).vals == (1, 0, 0, 0)
+    s = one_plus_T_pow(2, prof)
     assert s.residues(4) == (1, 2, 1, 0)
-    minus_one = ZpApprox(2, -1, w)
-    s = one_plus_T_pow(minus_one, prof)
+    s = one_plus_T_pow(-1 % 2 ** w, prof)
     assert s.residues(4) == tuple(x % 2 ** 4 for x in (1, -1, 1, -1))
 
 
@@ -177,16 +196,29 @@ def test_one_plus_T_pow_exponent_one():
     # (1+T)^1 is 1 + T on the nose
     for p in (2, 3, 5):
         prof = profile(p=p, a=6, b=6)
-        s = one_plus_T_pow(ZpApprox(p, 1, prof.work), prof)
+        s = one_plus_T_pow(1, prof)
         assert s.vals == (1, 1, 0, 0, 0, 0)
 
 
 def test_one_plus_T_pow_precision_report():
     prof = profile(p=2, a=6, b=8)
     w = prof.work
-    s = one_plus_T_pow(ZpApprox(2, 5, w), prof)
+    s = one_plus_T_pow(5, prof)
     for k in range(8):
         assert s.prec[k] == w - vp_factorial(k, 2)
+
+
+@given(st.data(), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=200, deadline=None)
+def test_one_plus_T_pow_matches_comb(data, p):
+    # C(t, k) for an integer 0 <= t < p^w, known to w - v_p(k!) digits
+    prof = profile(p=p, a=data.draw(st.integers(1, 6)), b=data.draw(st.integers(1, 12)))
+    w = prof.work
+    t = data.draw(st.integers(0, p ** w - 1))
+    s = one_plus_T_pow(t, prof)
+    for k in range(prof.b):
+        assert s.prec[k] == w - vp_factorial(k, p)
+        assert s.vals[k] == math.comb(t, k) % p ** s.prec[k]
 
 
 def test_one_plus_T_pow_character_property():
@@ -194,16 +226,16 @@ def test_one_plus_T_pow_character_property():
     w = prof.work
     rng = random.Random(11)
     for _ in range(10):
-        c1 = ZpApprox(3, rng.randrange(3 ** w), w)
-        c2 = ZpApprox(3, rng.randrange(3 ** w), w)
-        lhs = one_plus_T_pow(c1 + c2, prof)
+        c1 = rng.randrange(3 ** w)
+        c2 = rng.randrange(3 ** w)
+        lhs = one_plus_T_pow((c1 + c2) % 3 ** w, prof)
         rhs = one_plus_T_pow(c1, prof) * one_plus_T_pow(c2, prof)
         assert lhs.agrees_with(rhs)
 
 
 def test_one_plus_T_pow_exhaustion():
-    # v_2(7!) = 4 digits of loss cannot fit in 4 known digits
-    prof = profile(p=2, a=6, b=8)
-    c = ZpApprox(2, 5, 4)
+    # v_2(7!) = 4 digits of loss cannot fit in 4 known digits; a profile
+    # refuses such a guard, so the working precision is set by hand
+    prof = SimpleNamespace(p=2, b=8, work=4)
     with pytest.raises(PrecisionError):
-        one_plus_T_pow(c, prof)
+        one_plus_T_pow(5, prof)
