@@ -12,7 +12,7 @@ from tadic import (
 )
 from tadic.series import artin_hasse_fractions
 from tadic.splitting import fiber_character_value, norm_of_ef_at_orbit
-from tadic.unramified import default_modulus
+from tadic.unramified import teichmuller_powers
 from tadic.zp import teichmuller_int
 
 p = 2
@@ -39,11 +39,14 @@ print(f"\nE_f for f = x has exponents {ef.series.exponents()}")
 for u in ef.series.exponents()[:4]:
     print(f"  coeff of x^{u}: {list(ef.ef(u).vals[:5])} (v_T >= {u})")
 
-# Dwork's splitting lemma in action: the norm of E_f at a Teichmuller
-# point equals (1+T)^(trace of f there)
-m = default_modulus(p, 2)
-for coords in [(1, 0), (0, 1), (1, 1)]:
-    lhs = norm_of_ef_at_orbit(ef, coords, m)
-    rhs = fiber_character_value(tower, coords, m, prof)
+# Dwork's splitting lemma in action: the norm of E_f over the Frobenius
+# orbit of a Teichmuller point equals (1+T)^(trace of f there).  The three
+# nonzero points of F_4 are the powers g^0, g^1, g^2 of one lifted
+# generator, so a point is its exponent k, and its conjugate is g^(2k).
+points = list(teichmuller_powers(p, 2, prof))
+for k in range(len(points)):
+    lhs = norm_of_ef_at_orbit(ef, points, k)
+    rhs = fiber_character_value(tower, points, k, prof)
     ok = lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a))
-    print(f"fiber identity at F_4 point {coords}: {'ok' if ok else 'FAIL'}")
+    residue = [c % p for c in points[k].coords]
+    print(f"fiber identity at g^{k} (residue {residue} of F_4): {'ok' if ok else 'FAIL'}")

@@ -82,11 +82,11 @@ class JobConfig:
     """Validated job description built from a config document and flags."""
 
     FIELDS = ("command", "p", "geometry", "f", "a", "b", "D", "smax",
-              "dmax", "guard", "block_degree", "out")
+              "dmax", "block_degree", "out")
 
     def __init__(self, command: str, p: int = 2, geometry: str = "affine", f=None,
                  a: int = 6, b: int = 8, smax: int = 4, dmax: int = 4,
-                 D=None, guard=None, block_degree=None, out=None):
+                 D=None, block_degree=None, out=None):
         self.command = command
         if geometry is None or str(geometry).lower() not in _GEOMETRIES:
             raise UsageError(f"unknown geometry {geometry!r}; use affine or torus")
@@ -96,7 +96,6 @@ class JobConfig:
         self.a, self.b = _integer("a", a), _integer("b", b)
         self.smax, self.dmax = _integer("smax", smax), _integer("dmax", dmax)
         self.D = None if D in (None, "auto") else _integer("D", D)
-        self.guard = None if guard in (None, "auto") else _integer("guard", guard)
         self.block_degree = (None if block_degree in (None, "auto")
                              else _integer("block_degree", block_degree))
         if self.block_degree is not None and self.block_degree < 1:
@@ -111,7 +110,7 @@ class JobConfig:
         try:
             self.profile = PrecisionProfile.create(
                 self.p, self.a, self.b, self.smax, self.dmax,
-                degree=max(self.tower.degree, 1), D=self.D, guard=self.guard)
+                degree=max(self.tower.degree, 1), D=self.D)
         except TadicError:
             raise
         except Exception as exc:
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s-degree", type=int, dest="smax")
         sp.add_argument("--d-max", type=int, dest="dmax")
         sp.add_argument("--x-degree", type=int, dest="D")
-        sp.add_argument("--guard", type=int)
         sp.add_argument("--block-degree", type=int, dest="block_degree")
         sp.add_argument("--out", help="write the JSON report here")
     return ap

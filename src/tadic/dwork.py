@@ -42,9 +42,14 @@ from .zp import ZpTSeries
 
 
 # The default D >= p must not let a large prime ask for a matrix that
-# cannot be held: N = 2048 rows (p = 2, b = 8) peaked at 72 MB and took
-# 95 s of CPU to assemble, certify and pack under tracemalloc.
-MAX_MATRIX_ROWS = 2048
+# outruns the five minutes of CPU the oracle's POINT_BUDGET allows.
+# `lfun --f 1:1` at the CLI defaults (a = 6, b = 8, smax = 4, D = p) took
+# 2.1, 7.4, 15.9, 44.6, 79.3 and 158 s of CPU at N = 212, 402, 602, 810,
+# 1010 and 1278 rows (p = 211 to 1277), about N^3, with a 271 MB peak at
+# 1278; p = 2 on the torus took 4.2, 15.8 and 35.1 s at N = 401, 601 and
+# 801 (Python 3.11 on a 2-core Xeon VM).  1280 rows keeps every run near
+# 160 s at most, half the standard, which leaves room for slower hosts.
+MAX_MATRIX_ROWS = 1280
 
 
 def theta0_apply(g: XSeries) -> XSeries:

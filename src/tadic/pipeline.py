@@ -37,7 +37,7 @@ from .splitting import (
     fiber_character_value,
     norm_of_ef_at_orbit,
 )
-from .unramified import default_modulus, field_elements
+from .unramified import teichmuller_powers
 from .xseries import Geometry
 from .zp import ZpTSeries
 
@@ -196,18 +196,22 @@ def _check_route_agreement(run: TraceFormulaRun) -> tuple[bool, str]:
     return cmp_.agree, ("" if cmp_.agree else f"mismatch at {cmp_.first_mismatch}")
 
 
-def _check_fiber_identity(run: TraceFormulaRun, max_degree: int = 2) -> tuple[bool, str]:
+FIBER_DEGREE = 2
+
+
+def _check_fiber_identity(run: TraceFormulaRun) -> tuple[bool, str]:
+    """Dwork's splitting lemma at every point of degree d <= FIBER_DEGREE:
+    the q - 1 powers g^k of one Teichmuller generator per degree, and 0 on
+    the affine line."""
     tower, prof = run.tower, run.prof
-    torus = tower.geometry is Geometry.TORUS
-    for d in range(1, max_degree + 1):
-        modulus = default_modulus(prof.p, d)
-        for coords in field_elements(prof.p, d):
-            if torus and all(c == 0 for c in coords):
-                continue
-            lhs = norm_of_ef_at_orbit(run.ef, coords, modulus)
-            rhs = fiber_character_value(tower, coords, modulus, prof)
+    zero = [] if tower.geometry is Geometry.TORUS else [None]
+    for d in range(1, FIBER_DEGREE + 1):
+        points = list(teichmuller_powers(prof.p, d, prof))
+        for k in zero + list(range(len(points))):
+            lhs = norm_of_ef_at_orbit(run.ef, points, k)
+            rhs = fiber_character_value(tower, points, k, prof)
             if not lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)):
-                return False, f"degree {d} point {coords}"
+                return False, f"degree {d} point {'0' if k is None else f'g^{k}'}"
     return True, ""
 
 

@@ -29,12 +29,8 @@ from .errors import BudgetError, CertificateError, UsageError
 from .fredholm import LFunctionSeries, l_from_traces
 from .profile import PrecisionProfile
 from .splitting import TowerInput
-from .unramified import (
-    UnramifiedApprox,
-    default_modulus,
-    teichmuller_lift,
-    unramified_trace,
-)
+# bench/spans.py wraps teichmuller_lift under this module's name too
+from .unramified import teichmuller_lift, teichmuller_powers, unramified_trace  # noqa: F401
 from .xseries import Geometry
 from .zp import ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 
@@ -55,21 +51,11 @@ class ExpSumReport:
 
 
 def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
-    """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, where g_hat is the
-    Teichmuller lift of x, the root of the primitive default modulus, which
-    generates F_q^x; with both certificates."""
-    modulus = default_modulus(p, d)
-    w = prof.work
-    order = ppow(p, d) - 1
-    ghat = teichmuller_lift(UnramifiedApprox.root(p, modulus, w), prof)
-    one = UnramifiedApprox.one(p, modulus, w)
-    power = one
-    tr = []
-    for _ in range(order):
-        tr.append(unramified_trace(power))
-        power = power * ghat
-    if power.coords != one.coords:
-        raise CertificateError(f"Teichmuller generator: g^{order} != 1 mod {p}^{w}")
+    """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, over the powers
+    of the Teichmuller generator as they are made (only the traces are
+    kept); certified Galois invariant, tr[k] = tr[p k mod (q - 1)]."""
+    tr = [unramified_trace(power) for power in teichmuller_powers(p, d, prof)]
+    order = len(tr)
     for k in range(order):
         if tr[k] != tr[p * k % order]:
             raise CertificateError(f"trace table is not Galois invariant at k = {k}")

@@ -2,16 +2,17 @@
 
 Every computation fixes, up front, a prime p, a target p-adic precision a,
 a T-adic truncation order b, an x-degree cutoff D for coordinate-ring
-series, truncation orders smax and dmax for the s-variable and for point
-enumeration, and a number of guard digits.  Internal arithmetic runs at
-a + guard p-adic digits so that the divisions performed downstream
-(binomial coefficients by k!, exponential recurrences by k) still leave
-answers correct mod p^a.
+series, and truncation orders smax and dmax for the s-variable and for
+point enumeration.  Internal arithmetic runs at a + guard p-adic digits,
+where the guard is derived from p, b, smax and dmax (`default_guard`), so
+that the divisions performed downstream (binomial coefficients by k!,
+exponential recurrences by k) still leave answers correct mod p^a.  More
+working digits are bought by asking for a larger a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import UsageError
 
@@ -72,7 +73,8 @@ class PrecisionProfile:
 
     p: prime; a: reported p-adic digits; b: T-adic coefficients kept;
     D: x-degree cutoff for operator matrices; smax: s-degree kept;
-    dmax: maximum enumeration degree; guard: extra working p-digits.
+    dmax: maximum enumeration degree.  guard, the extra working p-digits,
+    is derived: `default_guard(p, b, smax, dmax)`.
     """
 
     p: int
@@ -81,7 +83,7 @@ class PrecisionProfile:
     D: int
     smax: int
     dmax: int
-    guard: int
+    guard: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
@@ -89,17 +91,7 @@ class PrecisionProfile:
         for name in ("a", "b", "D", "smax", "dmax"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.guard < 0:
-            raise UsageError("guard must be >= 0")
-        floor_log = ceil_log(self.p, max(self.smax, self.dmax))
-        if self.p ** floor_log > max(self.smax, self.dmax):
-            floor_log -= 1
-        if self.guard < vp_factorial(self.b, self.p) + floor_log:
-            raise UsageError(
-                "guard too small for the divisions this profile performs: "
-                f"need at least v_p(b!) + floor(log_p(max(smax,dmax))) = "
-                f"{vp_factorial(self.b, self.p) + floor_log}"
-            )
+        object.__setattr__(self, "guard", default_guard(self.p, self.b, self.smax, self.dmax))
 
     @property
     def work(self) -> int:
@@ -117,23 +109,17 @@ class PrecisionProfile:
         *,
         degree: int = 1,
         D: int | None = None,
-        guard: int | None = None,
     ) -> "PrecisionProfile":
-        """Build a profile, filling D and guard with their defaults.
+        """Build a profile, filling D with its default.
 
         The default D = max(degree * (b + smax), p) makes monomials beyond
         the cutoff irrelevant mod T^b and is never below the D >= p the
         Dwork matrices need; `degree` is the x-degree of the tower the
         profile will serve (1 if unknown).
         """
-        if guard is None:
-            guard = default_guard(p, b, smax, dmax)
         if D is None:
             D = max(max(degree, 1) * (b + smax), p)
-        return cls(p=p, a=a, b=b, D=D, smax=smax, dmax=dmax, guard=guard)
+        return cls(p=p, a=a, b=b, D=D, smax=smax, dmax=dmax)
 
     def with_D(self, D: int) -> "PrecisionProfile":
-        return PrecisionProfile(
-            p=self.p, a=self.a, b=self.b, D=D,
-            smax=self.smax, dmax=self.dmax, guard=self.guard,
-        )
+        return replace(self, D=D)

@@ -43,10 +43,11 @@ class NewtonPolygon:
     hull: tuple[tuple[int, int], ...]
     slopes: tuple[PolygonSlope, ...]
 
-    def slope_list(self, include_provisional: bool = False) -> list[Fraction]:
+    def slope_list(self) -> list[Fraction]:
+        """The slopes with multiplicity, up to the first provisional one."""
         out = []
         for s in self.slopes:
-            if s.provisional and not include_provisional:
+            if s.provisional:
                 break
             out.extend([s.slope] * s.multiplicity)
         return out
@@ -127,7 +128,7 @@ def slope_decomposition(npoly: NewtonPolygon, d: int) -> SlopeReport:
     model r*(n + beta_j).  Requires at least 2d non-provisional slopes."""
     if d < 1:
         raise ValueError("block degree must be >= 1")
-    slopes = npoly.slope_list(include_provisional=False)
+    slopes = npoly.slope_list()
     if len(slopes) < 2 * d:
         raise PrecisionError(
             f"only {len(slopes)} non-provisional slopes, need {2 * d}: "

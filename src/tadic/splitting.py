@@ -6,12 +6,20 @@ representative [c], the splitting function is the product of Artin-Hasse
 factors E(pi [c] x^u) over the monomials of f.  Its coefficients decay
 T-adically at rate ceil(|k| / deg f), which is what later makes the Dwork
 operator matrices nuclear; that decay is checked here as a certificate.
+
+Dwork's splitting lemma ties E_f to the exponential sums: at a Teichmuller
+point x_hat of F_q, the product of E_f over the Frobenius orbit of x_hat is
+(1+T)^(Tr f(x_hat)).  `norm_of_ef_at_orbit` and `fiber_character_value`
+compute the two sides.  Their points are those of
+`unramified.teichmuller_powers`: the point g^k is given by its index k
+(None for 0), so no point is lifted on its own.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import CertificateError, UsageError
@@ -59,13 +67,25 @@ class TowerInput:
         """max |u| over the support of f (0 for the zero tower)."""
         return max((abs(u) for u in self.f_coeffs), default=0)
 
-    def evaluate_teichmuller(self, point: UnramifiedApprox) -> UnramifiedApprox:
-        """f at a Teichmuller point, all arithmetic in the unramified ring."""
-        acc = UnramifiedApprox.zero(point.p, point.modulus, point.known)
+    def evaluate_teichmuller(self, points: Sequence[UnramifiedApprox],
+                             k: int | None) -> UnramifiedApprox:
+        """f at the Teichmuller point g^k (see `_monomial_at`), all
+        arithmetic in the unramified ring."""
+        acc = points[0] * 0
         for u, c in self.f_coeffs.items():
-            lift = teichmuller_int(c, self.p, point.known)
-            acc = acc + (point ** u) * lift
+            acc = acc + _monomial_at(points, k, u) * teichmuller_int(c, self.p, acc.known)
         return acc
+
+
+def _monomial_at(points: Sequence[UnramifiedApprox], k: int | None,
+                u: int) -> UnramifiedApprox:
+    """x^u at the point g^k, where `points` are the powers g^0..g^(q-2) of
+    `unramified.teichmuller_powers`: g^(k u mod (q-1)), negative u included,
+    since g^(q-1) = 1.  k = None is the point 0 of the affine line, where
+    x^u = 0 for u > 0."""
+    if k is None:
+        return points[0] if u == 0 else points[0] * 0
+    return points[k * u % len(points)]
 
 
 @dataclass(frozen=True)
@@ -133,18 +153,19 @@ def build_Ef(tower: TowerInput, prof: PrecisionProfile,
 
 # fiber identities -----------------------------------------------------------
 
-def evaluate_ef_at_point(ef: SplittingFunction,
-                         point: UnramifiedApprox) -> list[UnramifiedApprox]:
-    """E_f at a Teichmuller point: a T-expansion with coefficients in the
-    unramified ring.  Entry j is the T^j coefficient.  The point and every
-    coefficient of E_f must be known to the same precision."""
+def evaluate_ef_at_point(ef: SplittingFunction, points: Sequence[UnramifiedApprox],
+                         k: int | None) -> list[UnramifiedApprox]:
+    """E_f at the Teichmuller point g^k: a T-expansion with coefficients in
+    the unramified ring.  Entry j is the T^j coefficient.  The points and
+    every coefficient of E_f must be known to the same precision."""
     b = ef.profile.b
-    out = [UnramifiedApprox.zero(point.p, point.modulus, point.known) for _ in range(b)]
+    known = points[0].known
+    out = [points[0] * 0] * b
     for u, c in ef.series.coeffs.items():
-        if any(k != point.known for k in c.prec):
+        if any(n != known for n in c.prec):
             raise CertificateError(f"E_f coefficient x^{u} is not known to "
-                                   f"the {point.known} digits of the point")
-        xu = point ** u
+                                   f"the {known} digits of the point")
+        xu = _monomial_at(points, k, u)
         for j in range(b):
             if c.vals[j]:
                 out[j] = out[j] + xu * c.vals[j]
@@ -160,24 +181,18 @@ def _mul_unram_tseries(a, b_, width):
     return out
 
 
-def norm_of_ef_at_orbit(ef: SplittingFunction, residue_coords,
-                        modulus) -> ZpTSeries:
-    """Product of E_f over the Frobenius orbit of a residue: the conjugate
-    values are E_f at the Teichmuller lifts of the p-power residues, and
-    their product lands in Z_p[[T]]."""
-    from .unramified import teichmuller_lift
-
+def norm_of_ef_at_orbit(ef: SplittingFunction, points: Sequence[UnramifiedApprox],
+                        k: int | None) -> ZpTSeries:
+    """Product of E_f over the Frobenius orbit of the point g^k: E_f at the
+    conjugates g^(k p^i), i < d, whose product lands in Z_p[[T]]."""
     prof = ef.profile
-    p, b, w = prof.p, prof.b, prof.work
-    d = len(modulus) - 1
-    x0 = UnramifiedApprox(p, modulus, residue_coords, w)
+    p, b = prof.p, prof.b
+    order = len(points)
     prod = None
-    cur = x0
-    for _ in range(d):
-        t = teichmuller_lift(cur, prof)
-        val = evaluate_ef_at_point(ef, t)
+    for i in range(points[0].degree):
+        conj = None if k is None else k * ppow(p, i) % order
+        val = evaluate_ef_at_point(ef, points, conj)
         prod = val if prod is None else _mul_unram_tseries(prod, val, b)
-        cur = cur ** p
     # the orbit product is Galois stable; higher coordinates must vanish
     vals = []
     for j in range(b):
@@ -189,15 +204,10 @@ def norm_of_ef_at_orbit(ef: SplittingFunction, residue_coords,
     return ZpTSeries(p, b, vals, (prod[0].known,) * b)
 
 
-def fiber_character_value(tower: TowerInput, residue_coords, modulus,
-                          prof: PrecisionProfile) -> ZpTSeries:
-    """(1+T)^(Tr f(x_hat)) at the Teichmuller point above the residue."""
-    from .unramified import teichmuller_lift
-
-    p, w = prof.p, prof.work
-    x0 = UnramifiedApprox(p, modulus, residue_coords, w)
-    t = teichmuller_lift(x0, prof)
-    val = tower.evaluate_teichmuller(t)
+def fiber_character_value(tower: TowerInput, points: Sequence[UnramifiedApprox],
+                          k: int | None, prof: PrecisionProfile) -> ZpTSeries:
+    """(1+T)^(Tr f(g^k)) at the Teichmuller point g^k."""
+    val = tower.evaluate_teichmuller(points, k)
     if val.known != prof.work:
         raise CertificateError(f"f at a Teichmuller point is known to "
                                f"{val.known} digits, not {prof.work}")

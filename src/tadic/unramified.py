@@ -13,9 +13,13 @@ A ring is validated once: the order test runs at most once per
 arithmetic results are built without it.  One product, `_mulmod` and
 `_powmod`, serves the ring mod p^known and the order test mod p.  Traces
 are linear in the coordinates, against the power sums Tr(x^i) of the
-modulus.  Nonzero Teichmuller points are (q-1)-th roots of unity, so only
-elements with t^(q-1) = 1 exactly have negative powers; for anything else
-`**` raises ValueError.
+modulus.
+
+The nonzero Teichmuller points of F_q form the cyclic group mu_(q-1), so
+`teichmuller_powers` gives all of them as the powers g^0, ..., g^(q-2) of
+one lifted generator g, the lift of the root of the default modulus.  A
+point is then an index k, and x^u at g^k is g^(k u mod (q-1)), negative u
+included; its Frobenius conjugates are g^(k p^i).
 """
 
 from __future__ import annotations
@@ -163,9 +167,6 @@ class UnramifiedApprox:
         return self._new([a - b for a, b in zip(self.coords, other.coords)],
                          min(self.known, other.known))
 
-    def __neg__(self) -> "UnramifiedApprox":
-        return self._new([-a for a in self.coords], self.known)
-
     def __mul__(self, other) -> "UnramifiedApprox":
         if isinstance(other, int):
             return self._new([a * other for a in self.coords], self.known)
@@ -175,24 +176,6 @@ class UnramifiedApprox:
                                  ppow(self.p, known)), known)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UnramifiedApprox":
-        """self^e; for e < 0 only if self^(q-1) = 1 exactly at the known
-        digits (q = p^d), as for a nonzero Teichmuller point, and then
-        self^e = self^(e mod (q-1))."""
-        m = ppow(self.p, self.known)
-        if e < 0:
-            order = ppow(self.p, self.degree) - 1
-            one = (1 % m,) + (0,) * (self.degree - 1)
-            if _powmod(self.coords, order, self.modulus, m) != one:
-                raise ValueError(f"negative power of {self!r}, which is not "
-                                 f"a root of unity of order dividing {order}")
-            e %= order
-        return self._new(_powmod(self.coords, e, self.modulus, m), self.known)
-
-    @classmethod
-    def zero(cls, p, modulus, known) -> "UnramifiedApprox":
-        return cls(p, modulus, [0] * (len(modulus) - 1), known)
 
     @classmethod
     def one(cls, p, modulus, known) -> "UnramifiedApprox":
@@ -220,6 +203,25 @@ def teichmuller_lift(x0: UnramifiedApprox, prof) -> UnramifiedApprox:
     else:
         raise CertificateError("Teichmuller iteration failed to stabilize")
     return x0._new(t, w)
+
+
+def teichmuller_powers(p: int, d: int, prof):
+    """Yield g^0, g^1, ..., g^(q-2), q = p^d, known to prof.work digits:
+    g is the Teichmuller lift of the root of `default_modulus(p, d)`, which
+    generates F_q^x, so these are the q - 1 nonzero Teichmuller points.
+    One lift per call.  After the last power, g^(q-1) = 1 is certified
+    exactly, so a caller that takes every power has the certificate."""
+    modulus = default_modulus(p, d)
+    w = prof.work
+    g = teichmuller_lift(UnramifiedApprox.root(p, modulus, w), prof)
+    one = UnramifiedApprox.one(p, modulus, w)
+    order = ppow(p, d) - 1
+    power = one
+    for _ in range(order):
+        yield power
+        power = power * g
+    if power.coords != one.coords:
+        raise CertificateError(f"Teichmuller generator: g^{order} != 1 mod {p}^{w}")
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from tadic.splitting import (
     fiber_character_value,
     norm_of_ef_at_orbit,
 )
-from tadic.unramified import default_modulus, field_elements
+from tadic.unramified import teichmuller_powers
 from tadic.xseries import Geometry, XSeries
 from tadic.zp import ZpTSeries
 
@@ -155,16 +155,18 @@ def test_criterion_6_fiber_identity(compare_runs):
         tower, prof, ef = res.trace.tower, res.trace.prof, res.trace.ef
         torus = tower.geometry is Geometry.TORUS
         for d in (1, 2, 3):
-            modulus = default_modulus(prof.p, d)
-            for coords in field_elements(prof.p, d):
-                if torus and all(c == 0 for c in coords):
-                    continue
-                lhs = norm_of_ef_at_orbit(ef, coords, modulus)
-                rhs = fiber_character_value(tower, coords, modulus, prof)
+            # the nonzero points are the powers g^k of one generator; the
+            # affine line adds 0 (index None)
+            points = list(teichmuller_powers(prof.p, d, prof))
+            ks = ([] if torus else [None]) + list(range(len(points)))
+            assert len(ks) == prof.p ** d - torus
+            for k in ks:
+                lhs = norm_of_ef_at_orbit(ef, points, k)
+                rhs = fiber_character_value(tower, points, k, prof)
                 digits = min(min(lhs.prec), min(rhs.prec))
                 assert digits >= 4
                 assert lhs.reduced(digits).agrees_with(rhs.reduced(digits)), (
-                    name, d, coords)
+                    name, d, k)
     _ok("criterion 6 (splitting fiber identity, points of degree <= 3)")
 
 

@@ -1,12 +1,17 @@
 """Tests for the command line interface and report format."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tadic
 from tadic.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -87,6 +92,38 @@ def test_determinism_modulo_timing():
     r1.pop("timing_seconds")
     r2.pop("timing_seconds")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+# One process per hash seed runs every case: random towers over p = 2, 3, 5
+# in both geometries, each through all five commands.
+_HASH_SEED_CASES = """
+import json, random, warnings
+from tadic.cli import JobConfig, run
+warnings.simplefilter("ignore")
+rng = random.Random(20)
+reports = []
+for p in (2, 3, 5):
+    for geometry in ("affine", "torus"):
+        exps = [u for u in range(1 if geometry == "affine" else -3, 4) if u]
+        f = {u: rng.randrange(1, p) for u in rng.sample(exps, rng.randint(1, 3))}
+        for command in ("lfun", "oracle", "compare", "slopes", "selfcheck"):
+            report, code = run(JobConfig(command, p, geometry, f, a=3, b=4, smax=2, dmax=2))
+            del report["timing_seconds"]
+            reports.append([code, report])
+print(json.dumps(reports, indent=1))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(tadic.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", _HASH_SEED_CASES], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(json.loads(outs[0])) == 30
+    assert outs[0] == outs[1]
 
 
 def test_run_slopes_command():
@@ -223,6 +260,15 @@ def test_main_rejects_degree_bound_beyond_matrix_limit(capsys):
     assert "usage error" in err and "2049 matrix rows" in err
 
 
+def test_main_refuses_a_prime_past_the_matrix_limit(capsys):
+    # the default D = p gives p + 1 rows; past the limit the run is refused
+    # before any matrix is built, where it would take minutes
+    t0 = time.process_time()
+    assert main(["lfun", "--p", "1283", "--f", "1:1"]) == EXIT_USAGE
+    assert time.process_time() - t0 < 5
+    assert "1284 matrix rows" in capsys.readouterr().err
+
+
 def test_main_rejects_unwritable_out(capsys):
     code = main(["lfun", "--p", "2", "--f", "1:1", "--out", "/nonexistent/dir/x.json"])
     assert code == EXIT_USAGE
@@ -282,7 +328,7 @@ def _config_documents(tmp_path):
         "f": _field(f_map | st.sampled_from(["1:1", "2:1,-1:1", "1;1", "0"])),
         "a": _field(small), "b": _field(small), "smax": _field(small),
         "dmax": _field(small), "D": _field(small | st.just("auto")),
-        "guard": _field(small), "block_degree": _field(small),
+        "block_degree": _field(small),
         "out": outs,
     }
     return _field(st.fixed_dictionaries({}, optional=fields))

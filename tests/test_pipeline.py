@@ -1,17 +1,21 @@
 """Tests for the orchestration layer."""
 
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tadic import dwork
+from tadic import dwork, unramified
 from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
 from tadic.pipeline import (
+    FIBER_DEGREE,
     _base_block,
+    _check_fiber_identity,
     _check_semilinearity,
     compare_series,
     doubling_check,
@@ -22,7 +26,7 @@ from tadic.pipeline import (
 )
 from tadic.pointcount import oracle_lfun
 from tadic.profile import PrecisionProfile
-from tadic.splitting import TowerInput
+from tadic.splitting import TowerInput, build_Ef
 from tadic.xseries import Geometry
 from tadic.zp import ZpTSeries
 
@@ -122,6 +126,33 @@ def test_run_selfcheck_torus():
     out = run_selfcheck(tower, prof)
     assert out["ok"], out
     assert len(out["checks"]) == 6
+
+
+def test_selfcheck_lifts_once_per_degree(monkeypatch):
+    # the fiber identity walks the powers of one generator per degree
+    # instead of lifting each point and its conjugates
+    lifted = []
+    lift = unramified.teichmuller_lift
+
+    def spy(x0, prof):
+        lifted.append(x0.degree)
+        return lift(x0, prof)
+
+    monkeypatch.setattr(unramified, "teichmuller_lift", spy)
+    tower = TowerInput(5, Geometry.TORUS, {2: 1, -1: 3})
+    out = run_selfcheck(tower, profile(p=5, a=4, b=4, smax=2, dmax=2))
+    assert out["ok"], out
+    assert sorted(lifted) == list(range(1, FIBER_DEGREE + 1))
+
+
+def test_fiber_identity_check_names_the_failing_point():
+    # E_f of f = x^3 + 2/x^2 against the character of f = x^3 + 2/x^3
+    prof = profile(p=7, a=4, b=4, smax=2, dmax=2, degree=3)
+    ef = build_Ef(TowerInput(7, Geometry.TORUS, {3: 1, -2: 2}), prof)
+    wrong = SimpleNamespace(tower=TowerInput(7, Geometry.TORUS, {3: 1, -3: 2}),
+                            prof=prof, ef=ef)
+    ok, detail = _check_fiber_identity(wrong)
+    assert not ok and re.fullmatch(r"degree [12] point g\^\d+", detail), detail
 
 
 def test_run_slopes_reports_insufficient_precision():

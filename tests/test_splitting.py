@@ -14,7 +14,7 @@ from tadic.splitting import (
     norm_of_ef_at_orbit,
     splitting_factor,
 )
-from tadic.unramified import default_modulus, field_elements
+from tadic.unramified import teichmuller_powers
 from tadic.xseries import Geometry
 
 
@@ -107,14 +107,22 @@ def test_homomorphism_on_disjoint_supports():
         assert e12.ef(u).agrees_with(prod.coeff(u))
 
 
+def fiber_points(p, d, geometry, prof):
+    """The powers g^0..g^(q-2) of the degree-d Teichmuller generator, and
+    the indices of every point of the geometry (None for 0)."""
+    points = list(teichmuller_powers(p, d, prof))
+    zero = [] if geometry is Geometry.TORUS else [None]
+    return points, zero + list(range(len(points)))
+
+
 def test_fiber_identity_rational_point():
-    # E_f at the point 1 for f = x equals 1 + T
+    # E_f at the point 1 = g^0 for f = x equals 1 + T
     prof = profile(p=2, a=6, b=8)
     t = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
     ef = build_Ef(t, prof)
-    m = default_modulus(2, 1)
-    lhs = norm_of_ef_at_orbit(ef, (1,), m)
-    rhs = fiber_character_value(t, (1,), m, prof)
+    points = list(teichmuller_powers(2, 1, prof))
+    lhs = norm_of_ef_at_orbit(ef, points, 0)
+    rhs = fiber_character_value(t, points, 0, prof)
     assert lhs.residues(prof.a) == tuple(x % 2 ** prof.a for x in [1, 1] + [0] * 6)
     assert lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a))
 
@@ -124,17 +132,18 @@ def test_fiber_identity_rational_point():
     (2, Geometry.AFFINE_LINE, {3: 1}),
     (3, Geometry.AFFINE_LINE, {2: 1, 1: 1}),
     (2, Geometry.TORUS, {1: 1, -1: 1}),
+    (7, Geometry.TORUS, {3: 1, -2: 2}),
 ])
 def test_fiber_identity_low_degree_points(p, geom, f):
+    # the last case has an exponent <= -2 at p >= 5: x^-2 at g^k is
+    # g^(-2 k mod (q-1))
     prof = profile(p=p, a=5, b=6)
     tower = TowerInput(p, geom, f)
     ef = build_Ef(tower, prof)
     for d in (1, 2):
-        m = default_modulus(p, d)
-        for coords in field_elements(p, d):
-            if geom is Geometry.TORUS and all(c == 0 for c in coords):
-                continue
-            lhs = norm_of_ef_at_orbit(ef, coords, m)
-            rhs = fiber_character_value(tower, coords, m, prof)
+        points, ks = fiber_points(p, d, geom, prof)
+        for k in ks:
+            lhs = norm_of_ef_at_orbit(ef, points, k)
+            rhs = fiber_character_value(tower, points, k, prof)
             assert lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)), (
-                p, geom, d, coords)
+                p, geom, d, k)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from tadic.errors import UsageError
+from tadic import unramified
+from tadic.errors import CertificateError, UsageError
 from tadic.profile import PrecisionProfile
 from tadic.unramified import (
     UnramifiedApprox,
@@ -12,6 +13,7 @@ from tadic.unramified import (
     field_elements,
     is_primitive_mod_p,
     teichmuller_lift,
+    teichmuller_powers,
     unramified_trace,
 )
 
@@ -79,9 +81,9 @@ def test_teichmuller_cube_root_of_unity():
     m = (1, 1, 1)
     omega = UnramifiedApprox(2, m, (0, 1), prof.work)
     t = teichmuller_lift(omega, prof)
-    assert (t ** 3).coords == UnramifiedApprox.one(2, m, prof.work).coords
+    assert (t * t * t).coords == UnramifiedApprox.one(2, m, prof.work).coords
     assert tuple(c % 2 for c in t.coords) == (0, 1)
-    assert (t ** 4).coords == t.coords
+    assert (t * t * t * t).coords == t.coords
 
 
 def test_trace_examples():
@@ -157,35 +159,41 @@ def test_teichmuller_power_identity():
     for _ in range(10):
         coords = (rng.randrange(3), rng.randrange(3))
         t = teichmuller_lift(UnramifiedApprox(3, m, coords, prof.work), prof)
-        diff = t ** 9 - t
+        t3 = t * t * t
+        diff = t3 * t3 * t3 - t
         assert all(c % 3 ** prof.a == 0 for c in diff.coords)
 
 
-def test_negative_powers_only_of_roots_of_unity():
-    # every nonzero Teichmuller point is a (q-1)-th root of unity, so its
-    # negative powers are its powers mod q-1; nothing else has them
-    for p in (2, 3, 5):
+def test_teichmuller_powers_are_the_lifts_of_their_residues():
+    # the powers g^k of the lifted generator are the Teichmuller lifts of
+    # their own residues, and those residues are the q - 1 nonzero elements
+    for p in (2, 3, 5, 7):
         prof = profile(p=p, a=4)
         w = prof.work
-        for d in (1, 2, 3):
+        for d in (1, 2):
             m = default_modulus(p, d)
-            q = p ** d
-            one = UnramifiedApprox.one(p, m, w).coords
-            for coords in field_elements(p, d):
-                x = UnramifiedApprox(p, m, coords, w)
-                t = teichmuller_lift(x, prof)
-                if not any(coords):
-                    with pytest.raises(ValueError):
-                        t ** -1
-                    continue
-                tk = t
-                for k in range(1, q + 1):
-                    assert (t ** -k * tk).coords == one
-                    tk = tk * t
-            # a unit that is not a root of unity: 1 + p x (1 + p for d = 1)
-            unit = UnramifiedApprox(p, m, (1, p) + (0,) * (d - 2) if d > 1 else (1 + p,), w)
-            with pytest.raises(ValueError):
-                unit ** -1
+            points = list(teichmuller_powers(p, d, prof))
+            residues = [tuple(c % p for c in g.coords) for g in points]
+            assert sorted(residues) == sorted(c for c in field_elements(p, d) if any(c))
+            for g, res in zip(points, residues):
+                lift = teichmuller_lift(UnramifiedApprox(p, m, res, w), prof)
+                assert (g.coords, g.known) == (lift.coords, lift.known)
+
+
+def test_teichmuller_powers_certify_the_order(monkeypatch):
+    # a generator wrong in its last digit is no root of unity, so the
+    # check g^(q-1) = 1 after the last power fails
+    prof = profile(p=3, a=4)
+    real_lift = unramified.teichmuller_lift
+
+    def wrong_lift(x0, prof):
+        t = real_lift(x0, prof)
+        last = (3 ** (t.known - 1),) + (0,) * (t.degree - 1)
+        return t + UnramifiedApprox(t.p, t.modulus, last, t.known)
+
+    monkeypatch.setattr(unramified, "teichmuller_lift", wrong_lift)
+    with pytest.raises(CertificateError, match="g\\^8 != 1"):
+        list(teichmuller_powers(3, 2, prof))
 
 
 def test_field_elements_enumeration():

@@ -21,10 +21,9 @@ def profile(p=2, a=6, b=8, smax=4, dmax=4):
 def test_profile_validation():
     with pytest.raises(UsageError):
         PrecisionProfile.create(4, 6, 8, 4, 4)
-    with pytest.raises(UsageError):
-        PrecisionProfile(p=2, a=6, b=8, D=12, smax=4, dmax=4, guard=0)
     prof = profile()
     assert prof.work == 6 + default_guard(2, 8, 4, 4)
+    assert prof.with_D(30).guard == prof.guard
     assert vp_factorial(8, 2) == 7
 
 
@@ -235,7 +234,7 @@ def test_one_plus_T_pow_character_property():
 
 def test_one_plus_T_pow_exhaustion():
     # v_2(7!) = 4 digits of loss cannot fit in 4 known digits; a profile
-    # refuses such a guard, so the working precision is set by hand
+    # always has a guard that covers it, so the working precision is set by hand
     prof = SimpleNamespace(p=2, b=8, work=4)
     with pytest.raises(PrecisionError):
         one_plus_T_pow(5, prof)
