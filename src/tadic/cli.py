@@ -203,6 +203,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
                 "s_index": k, "T_index": j,
                 "trace_formula": res.verdict.mismatch_values[0],
                 "oracle": res.verdict.mismatch_values[1],
+                "v_p": res.verdict.mismatch_vp,
             }
             code = EXIT_MISMATCH
     elif config.command == "slopes":
@@ -323,7 +324,8 @@ def main(argv=None) -> int:
     if code == EXIT_MISMATCH and config.command == "compare":
         mm = report["results"].get("first_mismatch", {})
         print(f"routes disagree at s^{mm.get('s_index')} T^{mm.get('T_index')}: "
-              f"{mm.get('trace_formula')} vs {mm.get('oracle')}", file=sys.stderr)
+              f"{mm.get('trace_formula')} vs {mm.get('oracle')}, "
+              f"v_p of the difference {mm.get('v_p')}", file=sys.stderr)
     return code
 
 

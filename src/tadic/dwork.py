@@ -186,6 +186,15 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D (dx/x twisted for i = 1)
 
 
+def check_matrix_rows(geometry: Geometry, D: int) -> None:
+    """Refuse a degree bound whose psi_0 basis, the larger of the two,
+    has more than MAX_MATRIX_ROWS rows.  It depends on D alone, so a run
+    can be refused before any work."""
+    size = basis_exponents(geometry, 0, D)[1]
+    if size > MAX_MATRIX_ROWS:
+        raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
+
+
 def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
                 geometry: Geometry, exps) -> list[list[ZpTSeries]]:
     """Matrix of theta_i o (E *) on the basis exponents `exps`, E given by
@@ -213,9 +222,8 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     if D < prof.p:
         raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
     geometry = ef.series.geometry
+    check_matrix_rows(geometry, D)
     offset, size = basis_exponents(geometry, i, D)
-    if size > MAX_MATRIX_ROWS:
-        raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
     verify_theta_formulas(prof, geometry)
 
     entries = psi_entries(ef.series.coeffs, i, prof, geometry,

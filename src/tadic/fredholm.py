@@ -17,6 +17,10 @@ separate so they can cross-check each other:
     coefficients below n still hold their old values when it is read.
     Only ring additions and multiplications occur: no division, hence no
     p-adic precision loss and manifest integrality of the coefficients.
+    Resumed from the series of a principal block, as the doubling
+    certificate extends a run from D to 2D, it skips the remaining zero
+    rows, whose factor is 1; at 2D most rows past the base block are
+    zero.
 
   * `power_traces` computes tr(M^d) by iterated matrix products, and
     `l_from_traces` assembles exp(-sum S_d s^d / d).
@@ -90,9 +94,17 @@ def char_series(M: NuclearMatrix, smax: int,
 
     With `base = (C, idx)`, C must be det(1 - s B) mod s^(smax+1) for the
     principal block B of M on the indices `idx`, in that order; the
-    product resumes from C and borders only the remaining indices.
-    Ordering `idx` first is a permutation similarity of M, so the
-    determinant is unchanged.  The caller certifies that B is that block."""
+    product resumes from C and borders only those remaining indices whose
+    row has a nonzero entry.  Ordering `idx` first is a permutation
+    similarity of M, and a zero row k makes row k of 1 - s M the unit
+    vector e_k, so deleting row and column k leaves the determinant
+    unchanged; both are exact in value and in precision, since every
+    entry is known to the same precision and packs to 0 only when it is
+    0 to all of it.  The caller certifies that B is that block.
+
+    Without `base` every row is bordered in index order, zero or not:
+    the live-row selection at assembly time (ROADMAP items 1 and 3) is
+    to replace that path as a whole."""
     pk, rows = _packed_rows(M)
     result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
     start = 0
@@ -103,10 +115,10 @@ def char_series(M: NuclearMatrix, smax: int,
         taken = set(idx)
         if len(taken) != len(idx) or not taken <= set(range(M.size)):
             raise ValueError("base indices must be distinct indices of the matrix")
-        order = [*idx, *(k for k in range(M.size) if k not in taken)]
+        order = [*idx, *(k for k in range(M.size) if k not in taken and any(rows[k]))]
         rows = [[rows[v][u] for u in order] for v in order]
         result, start = list(done.coeffs), len(idx)
-    for k in range(start, M.size):
+    for k in range(start, len(rows)):
         # the factor is 1 - sum_j g[j] s^(j+1): g = [a, R C, R M_k C, ...]
         g = [pk.unpack(rows[k][k])]
         if k > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dwork import NuclearMatrix, assemble_matrix
+from .dwork import NuclearMatrix, assemble_matrix, check_matrix_rows
 from .errors import CertificateError, PrecisionError, UsageError
 from .fredholm import (
     FredholmSeries,
@@ -21,7 +21,7 @@ from .fredholm import (
     l_from_traces,
     power_traces,
 )
-from .pointcount import ExpSumReport, oracle_lfun
+from .pointcount import ExpSumReport, check_point_budget, oracle_lfun
 from .profile import PrecisionProfile
 from .slopes import (
     NewtonPolygon,
@@ -39,7 +39,7 @@ from .splitting import (
 )
 from .unramified import teichmuller_powers
 from .xseries import Geometry
-from .zp import ZpTSeries
+from .zp import ZpTSeries, ppow, vp_int
 
 
 @dataclass
@@ -73,10 +73,19 @@ class RouteComparison:
     effective_precision: int
     first_mismatch: tuple[int, int] | None
     mismatch_values: tuple[str, str] | None = None
+    mismatch_vp: int | None = None
+
+
+def _difference_vp(p: int, x: int, y: int, joint: int) -> int:
+    """v_p of x - y known mod p^joint; joint when they agree to it."""
+    diff = (x - y) % ppow(p, joint)
+    return vp_int(diff, p) if diff else joint
 
 
 def compare_series(lhs: LFunctionSeries, rhs: LFunctionSeries) -> RouteComparison:
-    """Coefficientwise comparison at the joint known precision."""
+    """Coefficientwise comparison at the joint known precision; a
+    mismatch records where it is, both residues and v_p of their
+    difference."""
     a_eff = None
     for k in range(min(lhs.smax, rhs.smax) + 1):
         a, b_ = lhs.coeff(k), rhs.coeff(k)
@@ -89,6 +98,7 @@ def compare_series(lhs: LFunctionSeries, rhs: LFunctionSeries) -> RouteCompariso
                     agree=False, effective_precision=a_eff,
                     first_mismatch=(k, j),
                     mismatch_values=(str(a.vals[j] % m), str(b_.vals[j] % m)),
+                    mismatch_vp=_difference_vp(a.p, a.vals[j], b_.vals[j], joint),
                 )
     return RouteComparison(agree=True, effective_precision=a_eff, first_mismatch=None)
 
@@ -102,6 +112,8 @@ class CompareRun:
 
 
 def run_compare(tower: TowerInput, prof: PrecisionProfile) -> CompareRun:
+    # the enumeration's limit follows from the profile: refuse before any work
+    check_point_budget(prof.p, prof.dmax)
     trace = run_trace_formula(tower, prof)
     lf_oracle, sums = oracle_lfun(tower, prof)
     verdict = compare_series(trace.lfun, lf_oracle)
@@ -140,8 +152,17 @@ def doubling_check(tower: TowerInput, prof: PrecisionProfile,
     base matrices are certified to be the blocks of the 2D matrices on
     the base exponents, and the Berkowitz product for each 2D matrix
     resumes from the base series past that block (`char_series` with
-    `base`), so the 2D series equal a from-scratch recomputation."""
+    `base`), so the 2D series equal a from-scratch recomputation.  The
+    resumed product borders only the rows with a nonzero entry: row v'
+    of psi_i vanishes mod T^b once p v' > 2D + d (b - 1), which at the
+    decay-based D is nearly every row past the base block.
+
+    Without a base run the 2D row limit is checked before the base run
+    starts.  On failure `info` names the series, the s- and T-index of
+    the first differing coefficient and v_p of the difference at the
+    joint precision (that precision when only the precision differs)."""
     if base is None:
+        check_matrix_rows(tower.geometry, 2 * prof.D)
         base = run_trace_formula(tower, prof)
     elif base.tower != tower or base.prof != prof:
         raise UsageError("the base run was made for another tower or profile")
@@ -156,7 +177,10 @@ def doubling_check(tower: TowerInput, prof: PrecisionProfile,
                                  ("L", base.lfun.coeffs, big_l.coeffs)):
         for k, (a, c) in enumerate(zip(small_s, big_s)):
             if not _same(a, c):
-                return False, {"series": name, "s_index": k,
+                j = next(j for j in range(a.b)
+                         if (a.vals[j], a.prec[j]) != (c.vals[j], c.prec[j]))
+                vp = _difference_vp(a.p, a.vals[j], c.vals[j], min(a.prec[j], c.prec[j]))
+                return False, {"series": name, "s_index": k, "T_index": j, "v_p": vp,
                                "at_D": list(a.vals), "at_2D": list(c.vals)}
     return True, {}
 
@@ -180,7 +204,10 @@ def run_slopes(tower: TowerInput, prof: PrecisionProfile,
         report = slope_decomposition(npoly, d)
     except PrecisionError as exc:  # reported, the polygon itself is still returned
         err = str(exc)
-    hodge = hodge_bound_report(npoly, prof.p, d)
+    # Delta = [-d2, d1] from the support of f; the zero tower keeps [0, 1]
+    d1 = max((u for u in tower.f_coeffs if u > 0), default=0)
+    d2 = max((-u for u in tower.f_coeffs if u < 0), default=0)
+    hodge = hodge_bound_report(npoly, prof.p, d1 if d1 or d2 else 1, d2)
     return SlopeRun(trace=trace, polygon=npoly, report=report,
                     report_error=err, hodge=hodge)
 
@@ -256,7 +283,9 @@ def _check_semilinearity(run: TraceFormulaRun, trials: int = 20,
 
 def run_selfcheck(tower: TowerInput, prof: PrecisionProfile) -> dict:
     """Doubling stability, route agreement, fiber identities, operator
-    semilinearity, and the splitting-function round trip."""
+    semilinearity, and the splitting-function round trip.  The doubling
+    check's 2D row limit is checked before any work."""
+    check_matrix_rows(tower.geometry, 2 * prof.D)
     run = run_trace_formula(tower, prof)
     checks: list[dict] = []
 

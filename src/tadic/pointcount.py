@@ -50,6 +50,14 @@ class ExpSumReport:
     point_counts: tuple[int, ...]
 
 
+def check_point_budget(p: int, dmax: int) -> None:
+    """Refuse an enumeration to degree dmax whose top degree has more
+    than POINT_BUDGET points.  It depends on p and dmax alone, so a run
+    can be refused before any work."""
+    if p ** dmax > POINT_BUDGET:
+        raise BudgetError(f"{p}^{dmax} = {p ** dmax} points exceed the enumeration budget {POINT_BUDGET}")
+
+
 def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
     """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, over the powers
     of the Teichmuller generator as they are made (only the traces are
@@ -84,8 +92,7 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     """The degree-d exponential sum: sum over points x in F_{p^d} (without
     0 on the torus) of (1+T)^(Tr f(x_hat))."""
     p = tower.p
-    if p ** d > POINT_BUDGET:
-        raise BudgetError(f"p^d = {p ** d} exceeds the enumeration budget {POINT_BUDGET}")
+    check_point_budget(p, d)
     if d > prof.dmax:
         raise UsageError(f"d = {d} exceeds dmax = {prof.dmax}")
     w = prof.work
@@ -117,8 +124,7 @@ def oracle_lfun(tower: TowerInput, prof: PrecisionProfile) -> tuple[LFunctionSer
         raise UsageError(f"tower over F_{p} with a profile for p = {prof.p}")
     if dmax < prof.smax:
         raise UsageError("need dmax >= smax to assemble the oracle L-series")
-    if p ** dmax > POINT_BUDGET:
-        raise BudgetError(f"p^dmax = {p ** dmax} exceeds the enumeration budget {POINT_BUDGET}")
+    check_point_budget(p, dmax)
     sums = tuple(exp_sum(tower, d, prof) for d in range(1, dmax + 1))
     torus = tower.geometry is Geometry.TORUS
     counts = tuple(p ** d - (1 if torus else 0) for d in range(1, dmax + 1))

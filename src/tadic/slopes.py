@@ -11,6 +11,10 @@ and fits the model  slope = r * (n + beta_j),  n the block index, with an
 increment r > 0 and residues beta_j in [0, 1).  Each observed slope is
 classified exactly-on-model, within the window r*[n, n+1), or violation;
 the classifier reports and never absorbs discrepancies.
+
+The polygon is also compared with the T-adic Hodge polygon HP(Delta) of
+the Newton polytope Delta = [-d2, d1] of f, which it lies on or above
+(Liu-Wan, "T-adic exponential sums over finite fields", 2009).
 """
 
 from __future__ import annotations
@@ -169,22 +173,40 @@ def slope_decomposition(npoly: NewtonPolygon, d: int) -> SlopeReport:
     )
 
 
-def hodge_bound_report(npoly: NewtonPolygon, p: int, d: int) -> dict:
-    """Compare the polygon against the reference polygon with slope
-    increments (p-1) k / d.  Reported, not asserted: a finding of
-    'below' flags the abscissa, never raises.  Only abscissae under
-    non-provisional slopes are compared; elsewhere the hull is just a
-    lower bound, and those abscissae are listed as unchecked."""
+def hodge_polygon(p: int, d1: int, d2: int, n: int) -> list[Fraction]:
+    """Heights at k = 0..n of HP(Delta) for Delta = [-d2, d1]: the sum of
+    the k least Hodge slopes (p-1) w(u) over the basis x^u, with weight
+    w(u) = u/d1 for u >= 0 and |u|/d2 for u < 0.  A side of length 0
+    adds no basis element past x^0; on the affine line d2 = 0, and the
+    heights are (p-1) k (k-1) / (2 d1)."""
+    if d1 < 0 or d2 < 0 or not d1 + d2:
+        raise ValueError(f"Delta = [{-d2}, {d1}] must be an interval around 0")
+    weights = [Fraction(0)]
+    for d in (d1, d2):
+        if d:
+            weights += [Fraction(u, d) for u in range(1, n + 1)]
+    heights = [Fraction(0)]
+    for w in sorted(weights)[:n]:
+        heights.append(heights[-1] + (p - 1) * w)
+    return heights
+
+
+def hodge_bound_report(npoly: NewtonPolygon, p: int, d1: int, d2: int = 0) -> dict:
+    """Compare the polygon against HP(Delta), Delta = [-d2, d1].
+    Reported, not asserted: a finding of 'below' flags the abscissa,
+    never raises.  Only abscissae under non-provisional slopes are
+    compared; elsewhere the hull is just a lower bound, and those
+    abscissae are listed as unchecked."""
     checked = set()
     for (x0, _), (x1, _), s in zip(npoly.hull, npoly.hull[1:], npoly.slopes):
         if not s.provisional:
             checked.update(range(x0, x1 + 1))
     findings, unchecked = [], []
-    for k in range(npoly.hull[-1][0] + 1):
+    heights = hodge_polygon(p, d1, d2, npoly.hull[-1][0])
+    for k, bound in enumerate(heights):
         if k not in checked:
             unchecked.append(k)
             continue
-        bound = Fraction((p - 1) * k * (k - 1), 2 * d)
         have = npoly.hull_value(k)
         if have < bound:
             findings.append({"index": k, "hull": str(have), "bound": str(bound)})
@@ -192,5 +214,5 @@ def hodge_bound_report(npoly: NewtonPolygon, p: int, d: int) -> dict:
         "holds": not findings,
         "violations": findings,
         "unchecked": unchecked,
-        "bound": f"(p-1)k(k-1)/(2d) with p={p}, d={d}",
+        "bound": f"HP(Delta) with p={p}, Delta=[{-d2}, {d1}]",
     }

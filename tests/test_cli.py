@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tadic
+from tadic import pipeline
 from tadic.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -267,6 +268,21 @@ def test_main_refuses_a_prime_past_the_matrix_limit(capsys):
     assert main(["lfun", "--p", "1283", "--f", "1:1"]) == EXIT_USAGE
     assert time.process_time() - t0 < 5
     assert "1284 matrix rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # 211^4 points are past the enumeration budget
+    (["compare", "--p", "211", "--f", "1:1"], EXIT_RESOURCE, "211^4"),
+    # the base run fits, but D = 647 doubles to 1295 rows, past the limit
+    (["selfcheck", "--p", "647", "--f", "1:1"], EXIT_USAGE, "1295 matrix rows"),
+])
+def test_limits_are_checked_before_the_trace_route(monkeypatch, capsys, argv, code, message):
+    def refuse(*args):
+        raise AssertionError("the trace route ran before the limit was checked")
+
+    monkeypatch.setattr(pipeline, "run_trace_formula", refuse)
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
 
 
 def test_main_rejects_unwritable_out(capsys):

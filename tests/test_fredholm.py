@@ -5,7 +5,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tadic import zp
 from tadic.dwork import NuclearMatrix, assemble_matrix
 from tadic.errors import CertificateError
 from tadic.fredholm import (
@@ -103,6 +106,66 @@ def test_char_series_resumes_past_any_principal_block():
                 (char_series(raw_matrix(prof, [[entries[4][4]]]), 3), [4])):
         with pytest.raises(ValueError):
             char_series(raw_matrix(prof, entries), 4, base=bad)
+
+
+def same_series(xs, ys):
+    return [(c.vals, c.prec) for c in xs.coeffs] == [(c.vals, c.prec) for c in ys.coeffs]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_resumed_char_series_skips_zero_rows_exactly(data):
+    # zero rows, and rows that are zero on the diagonal only, planted
+    # anywhere, past a base block of random size and order: a zero row of
+    # M is a unit row of 1 - sM, so resuming without it gives the series
+    # from scratch, in vals and in prec, while a hollow row still counts
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    n = data.draw(st.integers(2, 7), label="n")
+    smax = data.draw(st.integers(1, n + 1), label="smax")
+    order = data.draw(st.permutations(range(n)), label="order")
+    idx = order[:data.draw(st.integers(1, n - 1), label="base size")]
+    zero_rows = data.draw(st.sets(st.sampled_from(range(n))), label="zero rows")
+    hollow_rows = data.draw(st.sets(st.sampled_from(range(n))), label="hollow rows")
+    prof = profile(p=p, a=4, b=4)
+    zero = ZpTSeries.zero(p, 4, prof.work)
+    entries = random_entries(p, 4, prof.work, n, random.Random(data.draw(st.integers(0, 999))))
+    for v in hollow_rows:
+        entries[v][v] = zero
+    for v in zero_rows:
+        entries[v] = [zero] * n
+    block = char_series(raw_matrix(prof, [[entries[v][u] for u in idx] for v in idx]), smax)
+    got = char_series(raw_matrix(prof, entries), smax, base=(block, idx))
+    assert same_series(got, char_series(raw_matrix(prof, entries), smax))
+
+
+@pytest.mark.parametrize("near_zero", ["T^(b-1)", "p^(w-1)"])
+def test_resumed_char_series_borders_near_zero_rows(monkeypatch, near_zero):
+    # rows 3 and 4 are zero but for one diagonal entry, in the last known
+    # T-coefficient or the last known digit; that entry shows in tr(M),
+    # so skipping its row would change the s^1 coefficient
+    p, b, n, smax = 3, 5, 5, 3
+    prof = profile(p=p, a=4, b=b)
+    w = prof.work
+    tiny = ZpTSeries.from_ints(p, b, [0] * (b - 1) + [1] if near_zero == "T^(b-1)"
+                               else [p ** (w - 1)], w)
+    entries = random_entries(p, b, w, n, random.Random(3))
+    zeroed = [row[:] for row in entries]
+    for v in (3, 4):
+        entries[v] = [tiny if u == v else ZpTSeries.zero(p, b, w) for u in range(n)]
+        zeroed[v] = [ZpTSeries.zero(p, b, w)] * n
+    idx = [0, 1, 2]
+    block = char_series(raw_matrix(prof, [row[:3] for row in entries[:3]]), smax)
+    dots = []
+    dot = zp.Packer.dot
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
+    want = char_series(raw_matrix(prof, entries), smax)
+    assert not same_series(want, char_series(raw_matrix(prof, zeroed), smax))
+    dots.clear()
+    assert same_series(char_series(raw_matrix(prof, entries), smax, base=(block, idx)), want)
+    assert dots   # both rows were bordered
+    dots.clear()
+    char_series(raw_matrix(prof, zeroed), smax, base=(block, idx))
+    assert not dots   # and zero rows are not
 
 
 def test_matrix_of_mixed_precision_is_refused():

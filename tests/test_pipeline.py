@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tadic import dwork, unramified
+from tadic import dwork, unramified, zp
 from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
@@ -46,6 +46,7 @@ def test_compare_series_detects_mismatch():
     assert not res.agree
     assert res.first_mismatch == (1, 2)
     assert res.mismatch_values == ("0", "4")
+    assert res.mismatch_vp == 2
     # agreement below the joint precision is still agreement
     close = [ZpTSeries.one(2, 5, w),
              ZpTSeries(2, 5, (3 + 2 ** 4, 1, 0, 0, 0), (4, w, w, w, w))]
@@ -72,13 +73,19 @@ def test_doubling_check_rejects_base_of_another_run():
 
 
 def doubling_by_recomputation(small, big):
-    """Reference verdict: the base run against the whole route rerun at 2D."""
+    """Reference verdict: the base run against the whole route rerun at 2D,
+    naming the first differing T-coefficient and v_p of the difference at
+    the joint precision."""
     for name, xs, ys in (("C0", small.c0.coeffs, big.c0.coeffs),
                          ("C1", small.c1.coeffs, big.c1.coeffs),
                          ("L", small.lfun.coeffs, big.lfun.coeffs)):
         for k, (a, c) in enumerate(zip(xs, ys)):
             if (a.vals, a.prec) != (c.vals, c.prec):
-                return False, {"series": name, "s_index": k,
+                j = [x != y for x, y in zip(zip(a.vals, a.prec), zip(c.vals, c.prec))].index(True)
+                joint = min(a.prec[j], c.prec[j])
+                vp = next(v for v in range(joint + 1)
+                          if v == joint or (a.vals[j] - c.vals[j]) % a.p ** (v + 1))
+                return False, {"series": name, "s_index": k, "T_index": j, "v_p": vp,
                                "at_D": list(a.vals), "at_2D": list(c.vals)}
     return True, {}
 
@@ -102,6 +109,21 @@ def test_doubling_extension_matches_recomputation(p, b, d, geometry, sufficient)
     verdict = doubling_check(tower, prof, base=base)
     assert verdict == doubling_by_recomputation(base, big)
     assert verdict[0] is sufficient
+
+
+def test_doubling_check_on_the_slopes_deep_tower_borders_no_row(monkeypatch):
+    # p = 7, f = x^3, b = 64 at the decay-based D = 38: every row of either
+    # 2D matrix past the base block vanishes mod T^b, so the extension
+    # makes no row-times-column product at all
+    p, b, d = 7, 64, 3
+    tower = TowerInput(p, Geometry.AFFINE_LINE, {d: 1})
+    prof = PrecisionProfile.create(p, 6, b, 6, 1, degree=d, D=-(-d * b // (p - 1)) + 2 * d)
+    base = run_trace_formula(tower, prof)
+    dots = []
+    dot = zp.Packer.dot
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
+    assert doubling_check(tower, prof, base=base) == (True, {})
+    assert dots == []
 
 
 @pytest.mark.parametrize("change", ["value", "precision"])
@@ -203,9 +225,14 @@ def test_selfcheck_checks_the_rule_the_matrices_use(monkeypatch):
     failed = [c for c in report["results"]["checks"] if not c["ok"]]
     assert [c["name"] for c in failed] == ["operator semilinearity"]
     assert failed[0]["detail"].startswith("psi_0 lookup rule")
-    # the planted rule is a real fault: the two routes disagree
-    _, code = run(JobConfig("compare", 3, "torus", {2: 1, -1: 1}, **kw))
+    # the planted rule is a real fault: the two routes disagree, and the
+    # report gives v_p of the difference at the first mismatch
+    report, code = run(JobConfig("compare", 3, "torus", {2: 1, -1: 1}, **kw))
     assert code == EXIT_MISMATCH
+    mm = report["results"]["first_mismatch"]
+    digits = report["results"]["effective_precision"]
+    diff = (int(mm["trace_formula"]) - int(mm["oracle"])) % 3 ** digits
+    assert diff % 3 ** mm["v_p"] == 0 and diff % 3 ** (mm["v_p"] + 1)
 
 
 @st.composite

@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 from tadic.errors import PrecisionError
+from tadic.pipeline import doubling_check, run_slopes
 from tadic.profile import PrecisionProfile
+from tadic.splitting import TowerInput
+from tadic.xseries import Geometry
 from tadic.slopes import (
     NewtonPolygon,
     PolygonPoint,
     hodge_bound_report,
+    hodge_polygon,
     lower_convex_hull,
     newton_polygon,
     slope_decomposition,
@@ -222,3 +226,57 @@ def test_hodge_bound_skips_precision_capped_segments():
     coeffs[6] = series_with_vT(p, b, w, 29)
     rep = hodge_bound_report(newton_polygon(coeffs), p, 3)
     assert [v["index"] for v in rep["violations"]] == [6]
+
+
+def test_hodge_polygon_of_delta():
+    # affine Delta = [0, d]: the heights (p-1) k (k-1) / (2d)
+    for p, d in ((2, 1), (3, 2), (7, 3), (11, 5)):
+        assert hodge_polygon(p, d, 0, 9) == [Fraction((p - 1) * k * (k - 1), 2 * d)
+                                             for k in range(10)]
+    # torus weights u/d1 and |u|/d2: x^2 + 1/x at p = 7 has slopes
+    # 0, 3, 6, 6, 9, 12, 12, and x + 1/x has slopes 0, 6, 6, 12, 12
+    assert hodge_polygon(7, 2, 1, 7) == [0, 0, 3, 9, 15, 24, 36, 48]
+    assert hodge_polygon(7, 1, 1, 5) == [0, 0, 6, 12, 24, 36]
+    # a side f does not reach adds no basis element past x^0
+    assert hodge_polygon(7, 0, 2, 4) == hodge_polygon(7, 2, 0, 4) == [0, 0, 3, 9, 18]
+    with pytest.raises(ValueError):
+        hodge_polygon(7, 0, 0, 3)
+
+
+@pytest.mark.parametrize("p,f,b,smax,exact_heights", [
+    # p = 1 mod lcm(2, 1): the polygon is HP(Delta), 15 at k = 4, where the
+    # affine-style bound (p-1) k (k-1) / (2 max|u|) asked for 18
+    (7, {2: 1, -1: 1}, 26, 5, [0, 0, 3, 9, 15, 24]),
+    # d1 != d2 at p != 1 mod lcm(3, 2): strictly above HP(Delta) at k = 2,
+    # 3 and on it at k = 4, where the affine-style bound asked for 8
+    (5, {3: 1, -2: 1}, 16, 4, [0, 0, 2, 4, 6]),
+])
+def test_torus_polygon_holds_against_the_hodge_polygon(p, f, b, smax, exact_heights):
+    tower = TowerInput(p, Geometry.TORUS, f)
+    d = tower.degree
+    prof = PrecisionProfile.create(p, 3, b, smax, 1, degree=d,
+                                   D=max(-(-d * b // (p - 1)) + 2 * d, p))
+    run = run_slopes(tower, prof)
+    assert [(pt.valuation, pt.exact) for pt in run.polygon.points] == \
+        [(v, True) for v in exact_heights]
+    assert run.hodge["holds"] and run.hodge["unchecked"] == [], run.hodge
+    assert doubling_check(tower, prof, base=run.trace) == (True, {})
+
+
+def test_polygon_below_the_torus_hodge_polygon_is_flagged():
+    # HP(Delta) of x^2 + 1/x at p = 7 is 0, 0, 3, 9, 15, 24; an exact
+    # point at 14 over k = 4 lies below it, and pulls the hull at k = 3
+    # below it too
+    p, b = 7, 40
+    w = profile(p=p, b=b).work
+    heights = [0, 0, 3, 9, 14, 24]
+    np_ = newton_polygon([series_with_vT(p, b, w, v) for v in heights])
+    rep = hodge_bound_report(np_, p, 2, 1)
+    assert not rep["holds"]
+    assert rep["violations"] == [{"index": 3, "hull": "17/2", "bound": "9"},
+                                 {"index": 4, "hull": "14", "bound": "15"}]
+    # on HP(Delta) itself nothing is flagged
+    heights[4] = 15
+    np_ = newton_polygon([series_with_vT(p, b, w, v) for v in heights])
+    assert hodge_bound_report(np_, p, 2, 1)["holds"]
+    assert rep["bound"] == "HP(Delta) with p=7, Delta=[-1, 2]"
