@@ -2,26 +2,25 @@
 
 theta0 acts on functions and theta1 on differentials; both are adjoint to
 the degree-p Frobenius x -> x^p in the sense theta(sigma(a) m) = a theta(m).
-In the monomial bases they are index maps:
+Differentials are written x^u dx/x on both geometries (u >= 1 on the
+affine line, where x^u dx/x = x^(u-1) dx).  In these monomial bases both
+operators are the same index map, theta1 without theta0's factor p:
 
-    theta0(x^u)       = p x^(u/p)            if p | u, else 0
-    theta1(x^u dx)    = x^((u+1)/p - 1) dx   if p | u + 1, else 0   (affine)
-    theta1(x^u dx/x)  = x^(u/p) dx/x         if p | u, else 0       (torus)
+    theta0(x^u)       = p x^(u/p)         if p | u, else 0
+    theta1(x^u dx/x)  = x^(u/p) dx/x      if p | u, else 0
 
 The nuclear operator of a tower is psi_i = theta_i composed with
-multiplication by the splitting function E_f.  Writing u' for the
-function-space exponent of a basis element (u + 1 for differentials on
-the affine line, u otherwise), the index maps give
+multiplication by the splitting function E_f, so on basis exponents
 
-    entry (v, u) of psi_i = (p if i = 0 else 1) * E_f[p v' - u'],
+    entry (v, u) of psi_i = (p if i = 0 else 1) * E_f[p v - u],
 
-so `assemble_matrix` fills the matrix in the plain monomial basis by
-looking up coefficients of E_f (`psi_entries`); each entry inherits the
-T-adic decay of the splitting function.  With E := 1 the same rule gives
-the matrix of theta_i itself, and every matrix assembly first checks its
-columns on low monomials against an independent oracle that computes the
-trace of the multiplication matrix of the degree-p subring extension in
-exact rational arithmetic (`theta0_trace_oracle`, `theta1_trace_oracle`).
+and `assemble_matrix` fills the matrix by looking up coefficients of E_f
+(`psi_entries`); each entry inherits the T-adic decay of the splitting
+function.  With E := 1 the same rule gives the matrix of theta_i itself,
+and every matrix assembly first checks its columns on low monomials
+against an independent oracle that computes the trace of the
+multiplication matrix of the degree-p subring extension in exact rational
+arithmetic (`theta0_trace_oracle`, `theta1_trace_oracle`).
 
 The weighted-basis bound (weight parameter c) is recorded and checked as
 a certificate but the entries are stored unweighted; the finite principal
@@ -52,79 +51,59 @@ from .zp import ZpTSeries
 MAX_MATRIX_ROWS = 1280
 
 
+def _theta(g: XSeries, factor: int) -> XSeries:
+    """The index map x^u -> factor * x^(u/p) if p | u, else 0."""
+    p = g.prof.p
+    out = {u // p: c.scale(factor) for u, c in g.coeffs.items() if u % p == 0}
+    return XSeries(g.prof, g.geometry, g.bound, out, g.differential)
+
+
 def theta0_apply(g: XSeries) -> XSeries:
     """Trace to the degree-p subring followed by the inverse Frobenius,
     on functions: keeps exponents divisible by p, each scaled by p."""
     if g.differential:
         raise ValueError("theta0 acts on functions")
-    p = g.prof.p
-    out = {}
-    for u, c in g.coeffs.items():
-        if u % p == 0:
-            out[u // p] = c.scale(p)
-    return XSeries(g.prof, g.geometry, g.bound, out)
+    return _theta(g, g.prof.p)
 
 
 def theta1_apply(g: XSeries) -> XSeries:
-    """The trace map on differentials; no factor of p survives."""
+    """The trace map on differentials x^u dx/x; no factor of p survives."""
     if not g.differential:
         raise ValueError("theta1 acts on differentials")
-    p = g.prof.p
-    out = {}
-    if g.geometry is Geometry.AFFINE_LINE:
-        for u, c in g.coeffs.items():
-            if (u + 1) % p == 0:
-                out[(u + 1) // p - 1] = c
-    else:
-        for u, c in g.coeffs.items():
-            if u % p == 0:
-                out[u // p] = c
-    return XSeries(g.prof, g.geometry, g.bound, out, differential=True)
+    return _theta(g, 1)
 
 
 # independent oracle ---------------------------------------------------------
 
-def _subring_trace(p: int, u: int) -> dict[int, Fraction]:
+def _trace_oracle(p: int, u: int, divisor: int) -> dict[int, int]:
     """Trace of multiplication by x^u on the rank-p extension of the
-    subring generated by y = x^p, in the basis 1, x, ..., x^(p-1).
-    Returns a Laurent polynomial in y as {exponent: coefficient}."""
+    subring generated by y = x^p, in the basis 1, x, ..., x^(p-1), divided
+    by `divisor` and read back through the inverse Frobenius y^q -> x^q.
+    The quotient must be integral."""
     tr: dict[int, Fraction] = {}
     for j in range(p):
         r = (u + j) % p
-        q = (u + j - r) // p
         if r == j:
-            tr[q] = tr.get(q, Fraction(0)) + 1
-    return tr
-
-
-def theta0_trace_oracle(p: int, u: int) -> dict[int, int]:
-    """theta0 on x^u computed from the multiplication-matrix trace and
-    the inverse Frobenius y^q -> x^q."""
+            q = (u + j - r) // p
+            tr[q] = tr.get(q, Fraction(0)) + Fraction(1, divisor)
     out = {}
-    for q, c in _subring_trace(p, u).items():
+    for q, c in tr.items():
         if c:
             if c.denominator != 1:
-                raise CertificateError("function trace not integral")
+                raise CertificateError(f"trace of x^{u} over {divisor} not integral")
             out[q] = int(c)
     return out
 
 
-def theta1_trace_oracle(p: int, u: int, geometry: Geometry) -> dict[int, int]:
-    """theta1 on the u-th differential basis element, via the function
-    computation: on the affine line x^u dx = (1/p) x^(u-p+1) d(x^p), on
-    the torus x^u dx/x = (1/p) x^u d(x^p)/x^p.  The 1/p must cancel."""
-    if geometry is Geometry.AFFINE_LINE:
-        shift = u - p + 1
-    else:
-        shift = u
-    out = {}
-    for q, c in _subring_trace(p, shift).items():
-        val = c / p
-        if val:
-            if val.denominator != 1:
-                raise CertificateError("differential trace not integral")
-            out[q] = int(val)
-    return out
+def theta0_trace_oracle(p: int, u: int) -> dict[int, int]:
+    """theta0 on x^u: the multiplication-matrix trace."""
+    return _trace_oracle(p, u, 1)
+
+
+def theta1_trace_oracle(p: int, u: int) -> dict[int, int]:
+    """theta1 on x^u dx/x = (1/p) x^u d(x^p)/x^p: the trace of x^u over p,
+    whose 1/p must cancel."""
+    return _trace_oracle(p, u, p)
 
 
 def verify_theta_formulas(prof: PrecisionProfile, geometry: Geometry) -> None:
@@ -136,13 +115,11 @@ def verify_theta_formulas(prof: PrecisionProfile, geometry: Geometry) -> None:
     m = p ** prof.a
     exps = range(0 if geometry is Geometry.AFFINE_LINE else -3 * p, 3 * p + 1)
     unit = {0: ZpTSeries.one(p, prof.b, prof.work)}
-    oracles = (lambda u: theta0_trace_oracle(p, u),
-               lambda u: theta1_trace_oracle(p, u, geometry))
-    for i, oracle in enumerate(oracles):
-        entries = psi_entries(unit, i, prof, geometry, exps)
+    for i, oracle in enumerate((theta0_trace_oracle, theta1_trace_oracle)):
+        entries = psi_entries(unit, i, prof, exps)
         for k, u in enumerate(exps):
             column = {v: c for v, row in zip(exps, entries) if (c := row[k].vals[0] % m)}
-            if column != {v: c % m for v, c in oracle(u).items() if c % m}:
+            if column != {v: c % m for v, c in oracle(p, u).items() if c % m}:
                 raise CertificateError(f"theta{i} disagrees with trace oracle at u={u}")
 
 
@@ -152,9 +129,7 @@ def verify_theta_formulas(prof: PrecisionProfile, geometry: Geometry) -> None:
 class NuclearMatrix:
     """Matrix of psi_i = theta_i o (E_f *) in the plain monomial basis.
 
-    Row/column index k corresponds to exponent basis_offset + k; for
-    differentials on the affine line the function-space exponent is the
-    basis exponent plus one."""
+    Row/column index k corresponds to exponent basis_offset + k."""
 
     entries: list[list[ZpTSeries]]
     degree_index: int
@@ -170,20 +145,15 @@ class NuclearMatrix:
     def exponent(self, index: int) -> int:
         return self.basis_offset + index
 
-    def function_exponent(self, index: int) -> int:
-        u = self.exponent(index)
-        if self.degree_index == 1 and self.geometry is Geometry.AFFINE_LINE:
-            return u + 1
-        return u
-
 
 def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
-    """(offset, size) of the monomial basis used for degree i."""
+    """(offset, size) of the monomial basis used for degree i: x^u for
+    i = 0, x^u dx/x for i = 1."""
     if geometry is Geometry.AFFINE_LINE:
         if i == 0:
             return 0, D + 1          # 1, x, ..., x^D
-        return 0, D                  # dx, x dx, ..., x^(D-1) dx
-    return -D, 2 * D + 1             # x^-D .. x^D (dx/x twisted for i = 1)
+        return 1, D                  # x dx/x = dx, ..., x^D dx/x
+    return -D, 2 * D + 1             # x^-D .. x^D
 
 
 def check_matrix_rows(geometry: Geometry, D: int) -> None:
@@ -196,9 +166,9 @@ def check_matrix_rows(geometry: Geometry, D: int) -> None:
 
 
 def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
-                geometry: Geometry, exps) -> list[list[ZpTSeries]]:
+                exps) -> list[list[ZpTSeries]]:
     """Matrix of theta_i o (E *) on the basis exponents `exps`, E given by
-    its coefficients: entry (v, u) is (p if i = 0 else 1) * E[p v' - u']."""
+    its coefficients: entry (v, u) is (p if i = 0 else 1) * E[p v - u]."""
     # the nonzero coefficients of E, with theta0's factor p applied
     table = {}
     for j, c in coeffs.items():
@@ -206,14 +176,12 @@ def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
         if not c.is_zero():
             table[j] = c
     zero = ZpTSeries.zero(prof.p, prof.b, prof.work)
-    shift = 1 if i == 1 and geometry is Geometry.AFFINE_LINE else 0
-    fexps = [u + shift for u in exps]
-    return [[table.get(prof.p * v - u, zero) for u in fexps] for v in fexps]
+    return [[table.get(prof.p * v - u, zero) for u in exps] for v in exps]
 
 
 def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> NuclearMatrix:
     """Matrix of psi_i over the monomial basis, each entry looked up as
-    (p or 1) * E_f[p v' - u'].  Runs the theta gate against the rational
+    (p or 1) * E_f[p v - u].  Runs the theta gate against the rational
     trace oracle first, then checks the mod-T degeneration and the T-adic
     decay certificate."""
     if i not in (0, 1):
@@ -226,8 +194,7 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     offset, size = basis_exponents(geometry, i, D)
     verify_theta_formulas(prof, geometry)
 
-    entries = psi_entries(ef.series.coeffs, i, prof, geometry,
-                          range(offset, offset + size))
+    entries = psi_entries(ef.series.coeffs, i, prof, range(offset, offset + size))
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),
                         basis_offset=offset, geometry=geometry, prof=prof)
     _check_matrix_certificates(mat, ef)
@@ -237,9 +204,9 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
 def _check_matrix_certificates(mat: NuclearMatrix, ef: SplittingFunction) -> None:
     """Decay and degeneration certificates.
 
-    Plain-basis decay: v_T(entry(v,u)) >= ceil(|p v' - u'| / d) since the
+    Plain-basis decay: v_T(entry(v,u)) >= ceil(|p v - u| / d) since the
     entry is (p or 1 times) the splitting-function coefficient at
-    p v' - u'.  The weighted-basis entries carry the extra factor
+    p v - u.  The weighted-basis entries carry the extra factor
     pi^(floor(|u|/c) - floor(|v|/c)), whose exponent plus the plain decay
     stays nonnegative, which is the contraction making psi nuclear; both
     facts are checked.  Mod T the matrix must degenerate to theta_i."""
@@ -247,11 +214,11 @@ def _check_matrix_certificates(mat: NuclearMatrix, ef: SplittingFunction) -> Non
     d = mat.weight_c
     scale = p if mat.degree_index == 0 else 1
     for v in range(mat.size):
-        vf = mat.function_exponent(v)
+        ev = mat.exponent(v)
         for u in range(mat.size):
-            uf = mat.function_exponent(u)
+            eu = mat.exponent(u)
             e = mat.entries[v][u]
-            j = p * vf - uf
+            j = p * ev - eu
             if mat.geometry is Geometry.AFFINE_LINE and j < 0:
                 if not e.is_zero():
                     raise CertificateError(f"entry ({v},{u}) should vanish")
@@ -262,8 +229,8 @@ def _check_matrix_certificates(mat: NuclearMatrix, ef: SplittingFunction) -> Non
             if vt.value < need:
                 raise CertificateError(
                     f"entry ({v},{u}) has v_T {vt.value} < decay bound {need}")
-            wu = abs(mat.exponent(u)) // d
-            wv = abs(mat.exponent(v)) // d
+            wu = abs(eu) // d
+            wv = abs(ev) // d
             if not e.is_zero() and need + wu - wv < 0:
                 raise CertificateError(
                     f"weighted decay negative at ({v},{u}): "

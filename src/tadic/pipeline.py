@@ -21,7 +21,7 @@ from .fredholm import (
     l_from_traces,
     power_traces,
 )
-from .pointcount import ExpSumReport, check_point_budget, oracle_lfun
+from .pointcount import ExpSumReport, check_oracle_inputs, oracle_lfun
 from .profile import PrecisionProfile
 from .slopes import (
     NewtonPolygon,
@@ -112,8 +112,8 @@ class CompareRun:
 
 
 def run_compare(tower: TowerInput, prof: PrecisionProfile) -> CompareRun:
-    # the enumeration's limit follows from the profile: refuse before any work
-    check_point_budget(prof.p, prof.dmax)
+    # the oracle's preconditions follow from the profile: refuse before any work
+    check_oracle_inputs(tower, prof)
     trace = run_trace_formula(tower, prof)
     lf_oracle, sums = oracle_lfun(tower, prof)
     verdict = compare_series(trace.lfun, lf_oracle)
@@ -142,7 +142,7 @@ def _base_block(small: NuclearMatrix, big: NuclearMatrix) -> list[int]:
 
 
 def doubling_check(tower: TowerInput, prof: PrecisionProfile,
-                   base: TraceFormulaRun | None = None) -> tuple[bool, dict]:
+                   base: TraceFormulaRun) -> tuple[bool, dict]:
     """Extend the base run to twice the degree bound; every retained
     coefficient of both characteristic series and of L must reproduce
     exactly.
@@ -153,18 +153,14 @@ def doubling_check(tower: TowerInput, prof: PrecisionProfile,
     the base exponents, and the Berkowitz product for each 2D matrix
     resumes from the base series past that block (`char_series` with
     `base`), so the 2D series equal a from-scratch recomputation.  The
-    resumed product borders only the rows with a nonzero entry: row v'
-    of psi_i vanishes mod T^b once p v' > 2D + d (b - 1), which at the
+    resumed product borders only the rows with a nonzero entry: row v
+    of psi_i vanishes mod T^b once p v > 2D + d (b - 1), which at the
     decay-based D is nearly every row past the base block.
 
-    Without a base run the 2D row limit is checked before the base run
-    starts.  On failure `info` names the series, the s- and T-index of
+    On failure `info` names the series, the s- and T-index of
     the first differing coefficient and v_p of the difference at the
     joint precision (that precision when only the precision differs)."""
-    if base is None:
-        check_matrix_rows(tower.geometry, 2 * prof.D)
-        base = run_trace_formula(tower, prof)
-    elif base.tower != tower or base.prof != prof:
+    if base.tower != tower or base.prof != prof:
         raise UsageError("the base run was made for another tower or profile")
     big_prof = prof.with_D(2 * prof.D)
     big = []
@@ -198,12 +194,16 @@ def run_slopes(tower: TowerInput, prof: PrecisionProfile,
                block_degree: int | None = None) -> SlopeRun:
     trace = run_trace_formula(tower, prof)
     npoly = newton_polygon(trace.c0)
-    d = block_degree if block_degree is not None else max(tower.degree, 1)
     report, err = None, None
-    try:
-        report = slope_decomposition(npoly, d)
-    except PrecisionError as exc:  # reported, the polygon itself is still returned
-        err = str(exc)
+    if tower.geometry is Geometry.TORUS:
+        err = ("the r(n + beta_j) block model is fitted on the affine line only; "
+               "the torus polygon is compared with HP(Delta) under hodge_bound")
+    else:
+        d = block_degree if block_degree is not None else max(tower.degree, 1)
+        try:
+            report = slope_decomposition(npoly, d)
+        except PrecisionError as exc:  # reported, the polygon itself is still returned
+            err = str(exc)
     # Delta = [-d2, d1] from the support of f; the zero tower keeps [0, 1]
     d1 = max((u for u in tower.f_coeffs if u > 0), default=0)
     d2 = max((-u for u in tower.f_coeffs if u < 0), default=0)
@@ -275,7 +275,7 @@ def _check_semilinearity(run: TraceFormulaRun, trials: int = 20,
                 if not lhs.coeff(u).agrees_with(rhs.coeff(u)):
                     return False, f"theta{i} trial {trial}"
             gh = theta(g * h)
-            for v, row in zip(exps, psi_entries(g.coeffs, i, prof, geometry, exps)):
+            for v, row in zip(exps, psi_entries(g.coeffs, i, prof, exps)):
                 if not (row[col] * c).agrees_with(gh.coeff(v)):
                     return False, f"psi_{i} lookup rule, trial {trial}"
     return True, ""

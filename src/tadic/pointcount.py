@@ -58,6 +58,17 @@ def check_point_budget(p: int, dmax: int) -> None:
         raise BudgetError(f"{p}^{dmax} = {p ** dmax} points exceed the enumeration budget {POINT_BUDGET}")
 
 
+def check_oracle_inputs(tower: TowerInput, prof: PrecisionProfile) -> None:
+    """Refuse an oracle run the profile cannot serve: a profile for
+    another prime, dmax < smax, or a top degree past POINT_BUDGET.  All
+    follow from the inputs, so a run can be refused before any work."""
+    if tower.p != prof.p:
+        raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
+    if prof.dmax < prof.smax:
+        raise UsageError("need dmax >= smax to assemble the oracle L-series")
+    check_point_budget(prof.p, prof.dmax)
+
+
 def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
     """tr[k] = Tr(g_hat^k) mod p^work for 0 <= k < q - 1, over the powers
     of the Teichmuller generator as they are made (only the traces are
@@ -119,12 +130,8 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
 def oracle_lfun(tower: TowerInput, prof: PrecisionProfile) -> tuple[LFunctionSeries, ExpSumReport]:
     """L-series of the tower assembled from the enumerated exponential sums
     of degrees 1..dmax."""
+    check_oracle_inputs(tower, prof)
     p, dmax = tower.p, prof.dmax
-    if p != prof.p:
-        raise UsageError(f"tower over F_{p} with a profile for p = {prof.p}")
-    if dmax < prof.smax:
-        raise UsageError("need dmax >= smax to assemble the oracle L-series")
-    check_point_budget(p, dmax)
     sums = tuple(exp_sum(tower, d, prof) for d in range(1, dmax + 1))
     torus = tower.geometry is Geometry.TORUS
     counts = tuple(p ** d - (1 if torus else 0) for d in range(1, dmax + 1))

@@ -6,9 +6,10 @@ zero only bound their valuation from below (by the truncation order b),
 so hull data derived from them is flagged provisional and never allowed
 to masquerade as an exact slope.
 
-Slope decomposition groups the slopes into consecutive blocks of size d
-and fits the model  slope = r * (n + beta_j),  n the block index, with an
-increment r > 0 and residues beta_j in [0, 1).  Each observed slope is
+Slope decomposition, run on the affine line, groups the slopes into
+consecutive blocks of size d and fits the model  slope = r * (n + beta_j),
+n the block index, with an increment r > 0 and residues beta_j in
+[0, 1).  Each observed slope is
 classified exactly-on-model, within the window r*[n, n+1), or violation;
 the classifier reports and never absorbs discrepancies.
 

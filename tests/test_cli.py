@@ -136,6 +136,20 @@ def test_run_slopes_command():
     assert res["polygon"]["points"][0] == {"index": 0, "v_T": 0, "exact": True}
 
 
+def test_torus_slopes_report_no_block_model_violation(capsys):
+    # the polygon of x^2 + 1/x at p = 7 is HP(Delta); the affine block
+    # model r (n + beta_j) used to call its slope 6 of block 1 a violation.
+    # D = 18 and a = 3 give the same exact polygon as the defaults, sooner
+    argv = ["slopes", "--p", "7", "--geometry", "torus", "--f=2:1,-1:1", "--prec-T", "40",
+            "--s-degree", "8", "--x-degree", "18", "--prec-p", "3"]
+    assert main(argv) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert [pt["v_T"] for pt in res["polygon"]["points"][:7]] == [0, 0, 3, 9, 15, 24, 36]
+    assert "slope_report" not in res
+    assert "affine line only" in res["slope_report_error"]
+    assert res["hodge_bound"]["holds"] and res["hodge_bound"]["violations"] == []
+
+
 def test_run_selfcheck_command():
     cfg = JobConfig("selfcheck", 2, "affine", {1: 1}, a=5, b=5, smax=3, dmax=3)
     report, code = run(cfg)
@@ -275,6 +289,9 @@ def test_main_refuses_a_prime_past_the_matrix_limit(capsys):
     (["compare", "--p", "211", "--f", "1:1"], EXIT_RESOURCE, "211^4"),
     # the base run fits, but D = 647 doubles to 1295 rows, past the limit
     (["selfcheck", "--p", "647", "--f", "1:1"], EXIT_USAGE, "1295 matrix rows"),
+    # the oracle cannot assemble s^3 from sums of degree <= 2
+    (["compare", "--p", "211", "--f", "1:1", "--s-degree", "3", "--d-max", "2"],
+     EXIT_USAGE, "need dmax >= smax"),
 ])
 def test_limits_are_checked_before_the_trace_route(monkeypatch, capsys, argv, code, message):
     def refuse(*args):

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -42,13 +43,14 @@ def test_theta0_monomials():
 
 
 def test_theta1_monomials():
+    # x^2 dx/x = x dx goes to x dx/x = dx, and x dx/x = dx to 0
     prof = profile()
-    g = XSeries.monomial(prof, Geometry.AFFINE_LINE, 8, 1, differential=True)
+    g = XSeries.monomial(prof, Geometry.AFFINE_LINE, 8, 2, differential=True)
     out = theta1_apply(g)
-    assert list(out.coeffs) == [0]
-    assert out.coeff(0).vals[0] == 1
+    assert list(out.coeffs) == [1]
+    assert out.coeff(1).vals[0] == 1
     assert not theta1_apply(
-        XSeries.monomial(prof, Geometry.AFFINE_LINE, 8, 0, differential=True)
+        XSeries.monomial(prof, Geometry.AFFINE_LINE, 8, 1, differential=True)
     ).coeffs
     t = theta1_apply(XSeries.monomial(prof, Geometry.TORUS, 8, 0, differential=True))
     assert list(t.coeffs) == [0] and t.coeff(0).vals[0] == 1
@@ -63,10 +65,10 @@ def test_theta_against_trace_oracle():
     assert theta0_trace_oracle(2, 4) == {2: 2}
     assert theta0_trace_oracle(2, 3) == {}
     assert theta0_trace_oracle(3, 0) == {0: 3}
-    assert theta1_trace_oracle(2, 1, Geometry.AFFINE_LINE) == {0: 1}
-    assert theta1_trace_oracle(2, 0, Geometry.AFFINE_LINE) == {}
-    assert theta1_trace_oracle(2, 0, Geometry.TORUS) == {0: 1}
-    assert theta1_trace_oracle(2, -2, Geometry.TORUS) == {-1: 1}
+    assert theta1_trace_oracle(2, 2) == {1: 1}
+    assert theta1_trace_oracle(2, 1) == {}
+    assert theta1_trace_oracle(2, 0) == {0: 1}
+    assert theta1_trace_oracle(2, -2) == {-1: 1}
 
 
 @pytest.mark.parametrize("i", [0, 1])
@@ -76,8 +78,8 @@ def test_theta_gate_checks_the_rule_the_matrices_use(monkeypatch, i, geometry):
     # and so every assembly of psi_i, must refuse it
     rule = dwork.psi_entries
 
-    def shifted(coeffs, j, prof, geom, exps):
-        return rule(coeffs, j, prof, geom, [u + (j == i) for u in exps])
+    def shifted(coeffs, j, prof, exps):
+        return rule(coeffs, j, prof, [u + (j == i) for u in exps])
 
     monkeypatch.setattr(dwork, "psi_entries", shifted)
     prof = profile(p=3, a=5, b=4)
@@ -214,9 +216,66 @@ def test_nuclear_decay_bound():
 
 def test_basis_sizes():
     assert basis_exponents(Geometry.AFFINE_LINE, 0, 5) == (0, 6)
-    assert basis_exponents(Geometry.AFFINE_LINE, 1, 5) == (0, 5)
+    assert basis_exponents(Geometry.AFFINE_LINE, 1, 5) == (1, 5)
     assert basis_exponents(Geometry.TORUS, 0, 5) == (-5, 11)
     assert basis_exponents(Geometry.TORUS, 1, 5) == (-5, 11)
+
+
+@pytest.mark.parametrize("p,geometry,f,D", [
+    (2, Geometry.AFFINE_LINE, {3: 1, 1: 1}, 4),
+    (3, Geometry.AFFINE_LINE, {2: 1, 1: 2}, 5),
+    (5, Geometry.AFFINE_LINE, {4: 1}, 5),
+    (2, Geometry.TORUS, {1: 1, -1: 1}, 3),
+    (3, Geometry.TORUS, {2: 2, -1: 1}, 3),
+    (7, Geometry.TORUS, {2: 1, -1: 4}, 7),
+])
+def test_psi0_is_p_times_psi1_on_the_exponents_of_psi1(p, geometry, f, D):
+    # in the bases x^u and x^u dx/x the two entry rules differ by the
+    # factor p only; on the affine line psi_0 has the extra row and
+    # column x^0, whose row is (p E_f[0], 0, ..., 0)
+    tower = TowerInput(p, geometry, f)
+    prof = profile(p=p, a=4, b=6, D=D, degree=tower.degree)
+    ef = build_Ef(tower, prof)
+    m0, m1 = assemble_matrix(ef, 0, prof), assemble_matrix(ef, 1, prof)
+    at0 = {m0.exponent(k): k for k in range(m0.size)}
+    for v in range(m1.size):
+        for u in range(m1.size):
+            e0 = m0.entries[at0[m1.exponent(v)]][at0[m1.exponent(u)]]
+            e1 = m1.entries[v][u].scale(p)
+            assert (e0.vals, e0.prec) == (e1.vals, e1.prec), (v, u)
+    extra = sorted(set(at0) - {m1.exponent(k) for k in range(m1.size)})
+    if geometry is Geometry.TORUS:
+        assert extra == []
+    else:
+        assert extra == [0]
+        row = m0.entries[at0[0]]
+        assert (row[0].vals, row[0].prec) == (ef.ef(0).scale(p).vals, ef.ef(0).prec)
+        assert all(e.is_zero() for e in row[1:])
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("geometry", [Geometry.AFFINE_LINE, Geometry.TORUS])
+def test_matrix_certificates_catch_planted_entries(i, geometry):
+    # on basis exponents (v, u) the entry sits at E_f[3 v - u], d = 2:
+    # (2, 1) must decay to T^3, (1, 3) is x^0 of E_f, and on the affine
+    # line (1, 4) is E_f[-1] = 0
+    p = 3
+    prof = profile(p=p, a=4, b=6, D=6, degree=2)
+    ef = build_Ef(TowerInput(p, geometry, {2: 1}), prof)
+    mat = assemble_matrix(ef, i, prof)
+    at = {mat.exponent(k): k for k in range(mat.size)}
+    w = prof.work
+    plants = [((2, 1), ZpTSeries.from_ints(p, prof.b, [0, 1], w), "decay bound"),
+              ((1, 3), mat.entries[at[1]][at[3]] + ZpTSeries.one(p, prof.b, w), "mod T is")]
+    if geometry is Geometry.AFFINE_LINE:
+        plants.append(((1, 4), ZpTSeries.from_ints(p, prof.b, [0, 0, 0, 0, 0, 1], w),
+                       "should vanish"))
+    dwork._check_matrix_certificates(mat, ef)
+    for (v, u), e, message in plants:
+        entries = [row[:] for row in mat.entries]
+        entries[at[v]][at[u]] = e
+        with pytest.raises(CertificateError, match=message):
+            dwork._check_matrix_certificates(replace(mat, entries=entries), ef)
 
 
 def column_path_matrix(ef, i, prof):

@@ -58,7 +58,7 @@ def test_compare_series_detects_mismatch():
 def test_doubling_check_smoke():
     tower = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
     prof = profile()
-    ok, info = doubling_check(tower, prof)
+    ok, info = doubling_check(tower, prof, base=run_trace_formula(tower, prof))
     assert ok and info == {}
 
 
@@ -206,17 +206,28 @@ def test_semilinearity_check_passes_on_default_p7_profile(geometry):
     assert _check_semilinearity(run) == (True, "")
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_semilinearity_check_catches_an_operator_that_is_not(monkeypatch, geometry):
+    # the identity on differentials is not semilinear, and is not the map
+    # the matrices' entry rule describes: a trial with sigma(g) != g catches
+    # the first, one with a constant g only the second
+    monkeypatch.setattr(dwork, "theta1_apply", lambda g: g)
+    run = run_trace_formula(TowerInput(3, geometry, {1: 1}), profile(p=3, a=4, b=4))
+    ok, detail = _check_semilinearity(run)
+    assert not ok and detail.startswith(("theta1 trial", "psi_1 lookup rule"))
+
+
 def test_selfcheck_checks_the_rule_the_matrices_use(monkeypatch):
-    # plant a torus-only error in psi_i's entry rule, E[|p v' - u'|] for
-    # E[p v' - u']: the theta gate sees only E := 1, and both matrices and
+    # plant a torus-only error in psi_i's entry rule, E[|p v - u|] for
+    # E[p v - u]: the theta gate sees only E := 1, and both matrices and
     # their 2D extensions share the error, so of the selfcheck entries
     # only the lookup-rule part of the semilinearity check can catch it
     rule = dwork.psi_entries
 
-    def folded(coeffs, i, prof, geom, exps):
-        if geom is Geometry.TORUS:
+    def folded(coeffs, i, prof, exps):
+        if min(exps) < 0:  # only torus bases reach negative exponents
             coeffs = {s * j: c for j, c in coeffs.items() if j >= 0 for s in (1, -1)}
-        return rule(coeffs, i, prof, geom, exps)
+        return rule(coeffs, i, prof, exps)
 
     monkeypatch.setattr(dwork, "psi_entries", folded)
     kw = dict(a=4, b=5, smax=3, dmax=3)
