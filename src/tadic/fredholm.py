@@ -22,8 +22,10 @@ separate so they can cross-check each other:
     rows, whose factor is 1; at 2D most rows past the base block are
     zero.
 
-  * `power_traces` computes tr(M^d) by iterated matrix products, and
-    `l_from_traces` assembles exp(-sum S_d s^d / d).
+  * `power_traces` computes tr(M^d) for d <= dmax from the powers up
+    to M^ceil(dmax/2), formed over the nonzero rows of M only, reading
+    each higher trace as a pairing of two of them, and `l_from_traces`
+    assembles exp(-sum S_d s^d / d).
 
 Both routes pack the matrix once with the Kronecker packer of `zp`: a
 coefficient vector becomes one big integer whose limbs have room for a
@@ -140,16 +142,34 @@ def char_series(M: NuclearMatrix, smax: int,
 
 
 def power_traces(M: NuclearMatrix, dmax: int) -> list[ZpTSeries]:
-    """tr(M^d) for d = 1..dmax by repeated matrix products."""
+    """tr(M^d) for d = 1..dmax from the powers M, ..., M^h, h = ceil(dmax/2).
+
+    A zero row of M is a zero row of every power, so only the live rows
+    of each power are kept, and M^(k+1) = M M^k costs one dot per live
+    row and column over the live indices.  tr(M^d) for d <= h sums the
+    diagonal of M^d; past h it pairs M^h with M^c, c = d - h <= h:
+    tr(M^(h+c)) = sum_i sum_j (M^h)_ij (M^c)_ji, one dot per live row,
+    with j live too.  Every entry is known to the same precision
+    (`_packed_rows`) and each dot reduces exactly mod p^w and T^b, so
+    the traces equal those of the iterated product in value and in
+    precision."""
     pk, rows = _packed_rows(M)
-    n = M.size
+    live = [i for i, row in enumerate(rows) if any(row)]
+    h = (dmax + 1) // 2
+    heads = [[rows[i][j] for j in live] for i in live]   # M on the live indices
+    powers = [[rows[i] for i in live]]                     # live rows of M^k
+    for _ in range(h - 1):
+        cols = list(zip(*powers[-1]))
+        powers.append([[pk.dot(x, col) for col in cols] for x in heads])
     traces = []
-    cur = rows
-    for _ in range(dmax):
-        traces.append(pk.unpack(pk.reduce(sum(cur[i][i] for i in range(n)))))
-        if len(traces) < dmax:
-            cols = list(zip(*cur))
-            cur = [[pk.dot(row, col) for col in cols] for row in rows]
+    for d in range(1, dmax + 1):
+        if d <= h:
+            acc = sum(row[i] for row, i in zip(powers[d - 1], live))
+        else:
+            other = powers[d - h - 1]
+            acc = sum(pk.dot([row[j] for j in live], [o[i] for o in other])
+                      for row, i in zip(powers[h - 1], live))
+        traces.append(pk.unpack(pk.reduce(acc)))
     return traces
 
 

@@ -215,12 +215,16 @@ def run_slopes(tower: TowerInput, prof: PrecisionProfile,
 # self checks -----------------------------------------------------------------
 
 def _check_route_agreement(run: TraceFormulaRun) -> tuple[bool, str]:
+    """L = exp(-sum_d tr(psi_0^d - psi_1^d) s^d / d) against the L of the
+    characteristic series; a failure names the first differing
+    coefficient and v_p of the difference."""
     t0 = power_traces(run.m0, run.prof.smax)
     t1 = power_traces(run.m1, run.prof.smax)
     sums = [a - b_ for a, b_ in zip(t0, t1)]
     via_traces = l_from_traces(sums, run.prof.smax)
     cmp_ = compare_series(run.lfun, via_traces)
-    return cmp_.agree, ("" if cmp_.agree else f"mismatch at {cmp_.first_mismatch}")
+    return cmp_.agree, ("" if cmp_.agree else
+                        f"mismatch at {cmp_.first_mismatch}, v_p {cmp_.mismatch_vp}")
 
 
 FIBER_DEGREE = 2

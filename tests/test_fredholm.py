@@ -215,6 +215,76 @@ def test_power_traces_scalar():
     assert tr[2].vals == (lam * lam * lam).vals
 
 
+def dense_power_traces(entries, dmax):
+    """Reference: tr(M^d) for d = 1..dmax by iterated dense products
+    M^(d+1) = M M^d in series arithmetic, zero rows included (a zero
+    factor only skips its product)."""
+    n = len(entries)
+    e = entries[0][0]
+    zero = ZpTSeries.zero(e.p, e.b, e.prec[0])
+    cur, out = entries, []
+    for _ in range(dmax):
+        acc = zero
+        for i in range(n):
+            acc = acc + cur[i][i]
+        out.append(acc)
+        nxt = []
+        for row in entries:
+            new_row = []
+            for j in range(n):
+                acc = zero
+                for k in range(n):
+                    if not row[k].is_zero():
+                        acc = acc + row[k] * cur[k][j]
+                new_row.append(acc)
+            nxt.append(new_row)
+        cur = nxt
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_power_traces_match_the_dense_product(data):
+    # half the powers, live rows only and the paired reading give the
+    # traces of the iterated dense product, in vals and in prec, with
+    # zero rows and rows zero on the diagonal only planted anywhere
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    n = data.draw(st.integers(1, 8), label="n")
+    dmax = data.draw(st.integers(1, 7), label="dmax")
+    b = data.draw(st.integers(1, 6), label="b")
+    zero_rows = data.draw(st.sets(st.sampled_from(range(n))), label="zero rows")
+    hollow_rows = data.draw(st.sets(st.sampled_from(range(n))), label="hollow rows")
+    prof = profile(p=p, a=4, b=b)
+    zero = ZpTSeries.zero(p, b, prof.work)
+    entries = random_entries(p, b, prof.work, n, random.Random(data.draw(st.integers(0, 999))))
+    for v in hollow_rows:
+        entries[v][v] = zero
+    for v in zero_rows:
+        entries[v] = [zero] * n
+    got = power_traces(raw_matrix(prof, entries), dmax)
+    want = dense_power_traces(entries, dmax)
+    assert [(t.vals, t.prec) for t in got] == [(t.vals, t.prec) for t in want]
+
+
+@pytest.mark.parametrize("dmax", [4, 5])
+def test_power_traces_dot_only_the_nonzero_rows(monkeypatch, dmax):
+    # psi_0 of f = x over F_31 at the default D = p has 32 rows, of which
+    # only v = 0 and v = 1 are nonzero: the powers M^2..M^h take one dot
+    # per live row and column, and each paired trace one per live row
+    p, h = 31, (dmax + 1) // 2
+    prof = profile(p=p, a=4, b=4, smax=4, dmax=dmax)
+    m = assemble_matrix(build_Ef(TowerInput(p, Geometry.AFFINE_LINE, {1: 1}), prof), 0, prof)
+    live = [v for v, row in enumerate(m.entries) if not all(e.is_zero() for e in row)]
+    assert (m.size, live) == (32, [0, 1])
+    dots = []
+    dot = zp.Packer.dot
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
+    got = power_traces(m, dmax)
+    assert len(dots) == len(live) * (m.size * (h - 1) + dmax - h)
+    want = dense_power_traces(m.entries, dmax)
+    assert [(t.vals, t.prec) for t in got] == [(t.vals, t.prec) for t in want]
+
+
 def test_l_from_traces_identities():
     prof = profile(p=2, a=6, b=6)
     w = prof.work

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tadic import dwork, unramified, zp
+from tadic import dwork, pipeline, unramified, zp
 from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series
@@ -148,6 +148,26 @@ def test_run_selfcheck_torus():
     out = run_selfcheck(tower, prof)
     assert out["ok"], out
     assert len(out["checks"]) == 6
+
+
+def test_route_agreement_failure_names_coefficient_and_vp(monkeypatch):
+    # p^3 planted in tr(psi_0) moves S_1, so L_1 of the trace route, by p^3
+    traces = pipeline.power_traces
+
+    def planted(M, dmax):
+        out = traces(M, dmax)
+        if M.degree_index == 0:
+            t = out[0]
+            out[0] = t + ZpTSeries.from_ints(t.p, t.b, [t.p ** 3], t.prec[0])
+        return out
+
+    monkeypatch.setattr(pipeline, "power_traces", planted)
+    out = run_selfcheck(TowerInput(3, Geometry.TORUS, {2: 1, -1: 1}),
+                        profile(p=3, a=5, b=4, smax=2, dmax=2))
+    failed = [c for c in out["checks"] if not c["ok"]]
+    assert not out["ok"]
+    assert failed == [{"name": "route agreement", "ok": False,
+                       "detail": "mismatch at (1, 0), v_p 3"}]
 
 
 def test_selfcheck_lifts_once_per_degree(monkeypatch):
