@@ -157,10 +157,13 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D
 
 
-def check_matrix_rows(geometry: Geometry, D: int) -> None:
-    """Refuse a degree bound whose psi_0 basis, the larger of the two,
-    has more than MAX_MATRIX_ROWS rows.  It depends on D alone, so a run
-    can be refused before any work."""
+def check_degree_bound(geometry: Geometry, p: int, D: int) -> None:
+    """Refuse a degree bound below p, which the Dwork matrices need, or
+    one whose psi_0 basis, the larger of the two, has more than
+    MAX_MATRIX_ROWS rows.  Both follow from the profile, so a run is
+    refused before any work, pi and E_f included."""
+    if D < p:
+        raise UsageError(f"degree bound D = {D} too small: need D >= p = {p}")
     size = basis_exponents(geometry, 0, D)[1]
     if size > MAX_MATRIX_ROWS:
         raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
@@ -187,22 +190,19 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> Nu
     decay certificate."""
     if i not in (0, 1):
         raise ValueError("degree index must be 0 or 1")
-    D = prof.D
-    if D < prof.p:
-        raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
     geometry = ef.series.geometry
-    check_matrix_rows(geometry, D)
-    offset, size = basis_exponents(geometry, i, D)
+    check_degree_bound(geometry, prof.p, prof.D)
+    offset, size = basis_exponents(geometry, i, prof.D)
     verify_theta_formulas(prof, geometry)
 
     entries = psi_entries(ef.series.coeffs, i, prof, range(offset, offset + size))
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),
                         basis_offset=offset, geometry=geometry, prof=prof)
-    _check_matrix_certificates(mat, ef)
+    _check_matrix_certificates(mat)
     return mat
 
 
-def _check_matrix_certificates(mat: NuclearMatrix, ef: SplittingFunction) -> None:
+def _check_matrix_certificates(mat: NuclearMatrix) -> None:
     """Decay and degeneration certificates.
 
     Plain-basis decay: v_T(entry(v,u)) >= ceil(|p v - u| / d) since the

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dwork import NuclearMatrix, assemble_matrix, check_matrix_rows
+from .dwork import NuclearMatrix, assemble_matrix, check_degree_bound
 from .errors import CertificateError, PrecisionError, UsageError
 from .fredholm import (
     FredholmSeries,
@@ -57,6 +57,7 @@ class TraceFormulaRun:
 def run_trace_formula(tower: TowerInput, prof: PrecisionProfile) -> TraceFormulaRun:
     if tower.p != prof.p:
         raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
+    check_degree_bound(tower.geometry, prof.p, prof.D)
     ef = build_Ef(tower, prof)
     m0 = assemble_matrix(ef, 0, prof)
     m1 = assemble_matrix(ef, 1, prof)
@@ -289,7 +290,7 @@ def run_selfcheck(tower: TowerInput, prof: PrecisionProfile) -> dict:
     """Doubling stability, route agreement, fiber identities, operator
     semilinearity, and the splitting-function round trip.  The doubling
     check's 2D row limit is checked before any work."""
-    check_matrix_rows(tower.geometry, 2 * prof.D)
+    check_degree_bound(tower.geometry, prof.p, 2 * prof.D)
     run = run_trace_formula(tower, prof)
     checks: list[dict] = []
 

@@ -3,14 +3,17 @@ Z_p[[T]] with E(pi) = 1 + T.
 
 The Artin-Hasse series is computed in exact rational arithmetic first and
 reduced afterwards, so no p-adic digits are lost and p-integrality of the
-result is a checkable certificate rather than an assumption.
+result is a checkable certificate rather than an assumption.  pi is
+solved from E(pi) = 1 + T one T-coefficient at a time, since that
+equation is triangular in T, and is then certified by evaluating E(pi).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .errors import CertificateError, PrecisionError
+from .errors import CertificateError
 from .zp import ZpTSeries, ppow
 
 
@@ -50,7 +53,7 @@ def artin_hasse_units(prof, order: int) -> list[int]:
 
 def _eval_poly_at_series(units: list[int], x: ZpTSeries, w: int) -> ZpTSeries:
     """Horner evaluation of a polynomial with coefficients mod p^w at a
-    T-series."""
+    T-series, through the Kronecker-packed series product."""
     p, b = x.p, x.b
     acc = ZpTSeries.from_ints(p, b, [units[-1]], w)
     for c in reversed(units[:-1]):
@@ -59,24 +62,30 @@ def _eval_poly_at_series(units: list[int], x: ZpTSeries, w: int) -> ZpTSeries:
 
 
 def pi_from_T(prof) -> ZpTSeries:
-    """The unique series pi = T - ... with E(pi) = 1 + T, computed by
-    Newton iteration on E(pi) - (1 + T).  E'(t) has unit constant term,
-    so each division is by a unit and costs no precision."""
+    """The unique series pi = T + O(T^2) with E(pi) = 1 + T.
+
+    E(t) = 1 + t + sum_{k>=2} e_k t^k, so pi = T - sum_{k>=2} e_k pi^k,
+    and [T^n] pi^k for k >= 2 involves only the coefficients of pi below
+    n.  Coefficient n is therefore solved from those below it, on
+    residues mod p^work with no division, so every coefficient is known
+    to the working precision.  The result is certified once: E(pi) is
+    evaluated by Horner over the series product and must be 1 + T."""
     p, b, w = prof.p, prof.b, prof.work
+    m = ppow(p, w)
     units = artin_hasse_units(prof, max(b - 1, 1))
-    dunits = [u * k for k, u in enumerate(units)][1:] or [1]
-    one_plus_T = ZpTSeries.from_ints(p, b, [1, 1], w)
-    pi = ZpTSeries.from_ints(p, b, [0, 1], w)
-    steps = 0
-    while True:
-        err = _eval_poly_at_series(units, pi, w) - one_plus_T
-        if err.is_zero():
-            break
-        steps += 1
-        if steps > b.bit_length() + 4:
-            raise PrecisionError("pi iteration failed to converge")
-        deriv = _eval_poly_at_series(dunits, pi, w)
-        pi = pi - err * deriv.inverse()
-    if not (_eval_poly_at_series(units, pi, w) - one_plus_T).is_zero():
-        raise CertificateError("E(pi) != 1 + T after iteration")
-    return pi
+    pi = ([0, 1] + [0] * b)[:b]
+    # pows[k][n] = [T^n] pi^k, filled one column n at a time
+    pows = [None, pi] + [[0] * b for _ in range(2, b)]
+    for n in range(2, b):
+        acc = 0
+        for k in range(2, n + 1):
+            # [T^n] pi^k = sum_{j=1..n-k+1} pi_j [T^(n-j)] pi^(k-1)
+            c = sum(map(mul, pi[1:n - k + 2], reversed(pows[k - 1][k - 1:n]))) % m
+            pows[k][n] = c
+            acc += units[k] * c
+        pi[n] = -acc % m
+    out = ZpTSeries.from_ints(p, b, pi, w)
+    if not (_eval_poly_at_series(units, out, w)
+            - ZpTSeries.from_ints(p, b, [1, 1], w)).is_zero():
+        raise CertificateError("E(pi) != 1 + T")
+    return out

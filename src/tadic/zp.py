@@ -10,8 +10,8 @@ The precision rule of a T-series product: coefficient n of x*y sums
 x_i y_j over i + j = n, so it is known to the least precision among the
 first n+1 coefficients of either factor.  These prefix minima never
 increase, so reduction mod p^P[n] at each n is a ring quotient, where
-products and Newton inverses are exact.  Every product is Kronecker-packed
-at the larger top precision of its factors.
+products are exact.  Every product is Kronecker-packed at the larger top
+precision of its factors.
 
 Apparent zeros are never certified: a residue of 0 at k known digits
 means only v_p >= k, and valuations of such elements are returned as
@@ -230,21 +230,6 @@ class ZpTSeries:
         """Divide every coefficient by n (`divexact` per coefficient)."""
         out = [divexact(self.p, v, k, n) for v, k in zip(self.vals, self.prec)]
         return ZpTSeries(self.p, self.b, [r for r, _ in out], [k for _, k in out])
-
-    def inverse(self) -> "ZpTSeries":
-        """Inverse of a series whose constant term is a p-adic unit, by
-        Newton's iteration y <- y (2 - x y) from the inverse of that term;
-        each step doubles the T-adic order to which y is right."""
-        p, b, k = self.p, self.b, self.prec[0]
-        if self.vals[0] % p == 0:
-            raise ZeroDivisionError("not a unit at known precision")
-        y = ZpTSeries.from_ints(p, b, [pow(self.vals[0], -1, ppow(p, k))], k)
-        two = ZpTSeries.from_ints(p, b, [2], k)
-        right = 1
-        while right < self.b:
-            y = y * (two - self * y)
-            right *= 2
-        return y
 
     # queries
 

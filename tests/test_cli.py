@@ -302,6 +302,18 @@ def test_limits_are_checked_before_the_trace_route(monkeypatch, capsys, argv, co
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lfun", "slopes", "compare"])
+def test_matrix_limit_is_checked_before_the_splitting_function(monkeypatch, capsys, command):
+    # D = 1304 at b = 1300 gives 1305 rows; pi and E_f at that b alone
+    # would take minutes
+    def refuse(*args):
+        raise AssertionError("E_f was built before the matrix limit was checked")
+
+    monkeypatch.setattr(pipeline, "build_Ef", refuse)
+    assert main([command, "--p", "2", "--prec-T", "1300"]) == EXIT_USAGE
+    assert "1305 matrix rows" in capsys.readouterr().err
+
+
 def test_main_rejects_unwritable_out(capsys):
     code = main(["lfun", "--p", "2", "--f", "1:1", "--out", "/nonexistent/dir/x.json"])
     assert code == EXIT_USAGE

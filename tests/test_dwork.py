@@ -270,12 +270,12 @@ def test_matrix_certificates_catch_planted_entries(i, geometry):
     if geometry is Geometry.AFFINE_LINE:
         plants.append(((1, 4), ZpTSeries.from_ints(p, prof.b, [0, 0, 0, 0, 0, 1], w),
                        "should vanish"))
-    dwork._check_matrix_certificates(mat, ef)
+    dwork._check_matrix_certificates(mat)
     for (v, u), e, message in plants:
         entries = [row[:] for row in mat.entries]
         entries[at[v]][at[u]] = e
         with pytest.raises(CertificateError, match=message):
-            dwork._check_matrix_certificates(replace(mat, entries=entries), ef)
+            dwork._check_matrix_certificates(replace(mat, entries=entries))
 
 
 def column_path_matrix(ef, i, prof):

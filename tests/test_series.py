@@ -4,9 +4,14 @@ exponential, pi, and XSeries."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tadic import series
+from tadic.errors import CertificateError
 from tadic.fredholm import l_from_traces
 from tadic.profile import PrecisionProfile
 from tadic.series import artin_hasse_fractions, artin_hasse_units, pi_from_T
@@ -127,6 +132,61 @@ def test_pi_round_trip_profiles():
             acc = acc * pi + ZpTSeries.from_ints(p, b, [c], prof.work)
         expect = ZpTSeries.from_ints(p, b, [1, 1], prof.work)
         assert acc.vals == expect.vals
+
+
+PI_ORDER = 16
+
+
+@lru_cache(maxsize=None)
+def lagrange_pi(p):
+    """Reference pi over Q by Lagrange inversion of E(t) - 1:
+    [T^n] pi = (1/n) [t^(n-1)] (t / (E(t) - 1))^n, for n < PI_ORDER.
+    It shares no code with `pi_from_T` beyond the Artin-Hasse fractions."""
+    e = artin_hasse_fractions(p, PI_ORDER)
+    # q = t / (E(t) - 1) = 1 / (1 + e_2 t + e_3 t^2 + ...)
+    q = [Fraction(1)]
+    for n in range(1, PI_ORDER):
+        q.append(-sum(e[j + 1] * q[n - j] for j in range(1, n + 1)))
+    out = [Fraction(0)] * PI_ORDER
+    qn = [Fraction(1)] + [Fraction(0)] * (PI_ORDER - 1)
+    for n in range(1, PI_ORDER):
+        qn = [sum(qn[i] * q[k - i] for i in range(k + 1)) for k in range(PI_ORDER)]
+        out[n] = qn[n - 1] / n
+    assert all(c.denominator % p for c in out)
+    return out
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, PI_ORDER), st.integers(1, 6))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_pi_matches_lagrange_inversion(p, b, a):
+    prof = PrecisionProfile.create(p, a, b, 4, 4)
+    m = p ** prof.work
+    want = tuple(c.numerator * pow(c.denominator, -1, m) % m for c in lagrange_pi(p)[:b])
+    pi = pi_from_T(prof)
+    assert (pi.vals, pi.prec) == (want, (prof.work,) * b)
+
+
+def test_pi_certificate_runs_once_and_can_fail(monkeypatch):
+    real = series._eval_poly_at_series
+    calls = []
+
+    def counted(units, x, w):
+        calls.append(w)
+        return real(units, x, w)
+
+    monkeypatch.setattr(series, "_eval_poly_at_series", counted)
+    prof = profile(p=3, a=6, b=8)
+    pi_from_T(prof)
+    assert calls == [prof.work]
+
+    def perturbed(units, x, w):
+        # E(pi) off by p^(w-1) T^(b-1): a fault in the last digit of the last coefficient
+        return real(units, x, w) + ZpTSeries.from_ints(
+            x.p, x.b, [0] * (x.b - 1) + [x.p ** (w - 1)], w)
+
+    monkeypatch.setattr(series, "_eval_poly_at_series", perturbed)
+    with pytest.raises(CertificateError, match=r"E\(pi\)"):
+        pi_from_T(prof)
 
 
 def test_xseries_mul():
