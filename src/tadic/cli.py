@@ -107,14 +107,9 @@ class JobConfig:
         if not is_prime(self.p):
             raise UsageError(f"p = {self.p} is not prime")
         self.tower = TowerInput(self.p, self.geometry, self.f)
-        try:
-            self.profile = PrecisionProfile.create(
-                self.p, self.a, self.b, self.smax, self.dmax,
-                degree=max(self.tower.degree, 1), D=self.D)
-        except TadicError:
-            raise
-        except Exception as exc:
-            raise UsageError(str(exc)) from exc
+        self.profile = PrecisionProfile.create(
+            self.p, self.a, self.b, self.smax, self.dmax,
+            degree=max(self.tower.degree, 1), D=self.D)
 
     def echo(self) -> dict:
         return {

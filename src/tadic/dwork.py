@@ -51,6 +51,15 @@ from .zp import ZpTSeries
 # 160 s at most, half the standard, which leaves room for slower hosts.
 MAX_MATRIX_ROWS = 1280
 
+# Past b = 8 the cost grows with b as well, fastest at p = 2, whose working
+# digits grow with b: there `lfun --f 1:1` took 2.6, 39 and 120 s of CPU at
+# (N, b) = (55, 50), (85, 80), (105, 100), about (N b)^3, and 7.3, 220 and
+# 246 s at (21, 150), (52, 200), (35, 300), about N^2.5 b^3.2; pi and E_f
+# alone (N = 3) took 14.4 and 37.4 s at b = 300 and 400.  At the limits
+# below, p = 2 took 18, 65 and 36 s at (210, 50), (46, 150), (26, 200), p = 3
+# 53 s at (105, 100), and p = 11 with f = x^3 4.9 s at (43, 120) (same host).
+MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
+
 
 def _theta(g: XSeries, factor: int) -> XSeries:
     """The index map x^u -> factor * x^(u/p) if p | u, else 0."""
@@ -157,16 +166,21 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D
 
 
-def check_degree_bound(geometry: Geometry, p: int, D: int) -> None:
-    """Refuse a degree bound below p, which the Dwork matrices need, or
-    one whose psi_0 basis, the larger of the two, has more than
-    MAX_MATRIX_ROWS rows.  Both follow from the profile, so a run is
-    refused before any work, pi and E_f included."""
-    if D < p:
-        raise UsageError(f"degree bound D = {D} too small: need D >= p = {p}")
+def check_degree_bound(geometry: Geometry, prof: PrecisionProfile) -> None:
+    """Refuse a degree bound below p, which the Dwork matrices need, or a
+    profile past a cost limit: more than MAX_MATRIX_ROWS rows in the psi_0
+    basis, the larger of the two, rows x b x max(b, 100) past
+    MAX_MATRIX_WORK at T-adic order b, or b past MAX_PREC_T.  All follow
+    from the profile, so a run is refused before any work, pi included."""
+    D, b = prof.D, prof.b
+    if D < prof.p:
+        raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
     size = basis_exponents(geometry, 0, D)[1]
     if size > MAX_MATRIX_ROWS:
         raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
+    if size * b * max(b, 100) > MAX_MATRIX_WORK or b > MAX_PREC_T:
+        raise UsageError(f"{size} matrix rows at T-adic order b = {b}: over the cost limits "
+                         f"rows x b x max(b, 100) <= {MAX_MATRIX_WORK}, b <= {MAX_PREC_T}")
 
 
 def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
@@ -183,27 +197,35 @@ def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
     return [[table.get(prof.p * v - u, zero) for u in exps] for v in exps]
 
 
-def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile) -> NuclearMatrix:
+def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile,
+                    base_D: int | None = None) -> NuclearMatrix:
     """Matrix of psi_i over the monomial basis, each entry looked up as
     (p or 1) * E_f[p v - u].  Runs the theta gate against the rational
     trace oracle first, then checks the mod-T degeneration and the T-adic
-    decay certificate."""
+    decay certificate.  With `base_D`, the block on the basis at base_D
+    is the caller's to certify against a matrix assembled there, gate
+    included (it does not depend on D): only entries past it are checked."""
     if i not in (0, 1):
         raise ValueError("degree index must be 0 or 1")
     geometry = ef.series.geometry
-    check_degree_bound(geometry, prof.p, prof.D)
+    check_degree_bound(geometry, prof)
     offset, size = basis_exponents(geometry, i, prof.D)
-    verify_theta_formulas(prof, geometry)
-
+    block = range(0)
+    if base_D is None:
+        verify_theta_formulas(prof, geometry)
+    else:
+        lo, n = basis_exponents(geometry, i, base_D)
+        block = range(lo - offset, lo - offset + n)
     entries = psi_entries(ef.series.coeffs, i, prof, range(offset, offset + size))
     mat = NuclearMatrix(entries=entries, degree_index=i, weight_c=max(ef.source.degree, 1),
                         basis_offset=offset, geometry=geometry, prof=prof)
-    _check_matrix_certificates(mat)
+    _check_matrix_certificates(mat, block)
     return mat
 
 
-def _check_matrix_certificates(mat: NuclearMatrix) -> None:
-    """Decay and degeneration certificates.
+def _check_matrix_certificates(mat: NuclearMatrix, block: range = range(0)) -> None:
+    """Decay and degeneration certificates, on every entry whose row or
+    column lies outside the index range `block`.
 
     Plain-basis decay: v_T(entry(v,u)) >= ceil(|p v - u| / d) since the
     entry is (p or 1 times) the splitting-function coefficient at
@@ -216,6 +238,8 @@ def _check_matrix_certificates(mat: NuclearMatrix) -> None:
     for v in range(mat.size):
         ev = mat.exponent(v)
         for u in range(mat.size):
+            if v in block and u in block:
+                continue
             eu = mat.exponent(u)
             e = mat.entries[v][u]
             j = p * ev - eu

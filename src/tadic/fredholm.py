@@ -19,8 +19,7 @@ separate so they can cross-check each other:
     p-adic precision loss and manifest integrality of the coefficients.
     Resumed from the series of a principal block, as the doubling
     certificate extends a run from D to 2D, it skips the remaining zero
-    rows, whose factor is 1; at 2D most rows past the base block are
-    zero.
+    rows, whose factor is 1.
 
   * `power_traces` computes tr(M^d) for d <= dmax from the powers up
     to M^ceil(dmax/2), formed over the nonzero rows of M only, reading
@@ -79,15 +78,17 @@ class LFunctionSeries:
         return self.coeffs[k]
 
 
-def _packed_rows(M: NuclearMatrix) -> tuple[Packer, list[list[int]]]:
-    """The matrix with every entry packed, and the packer, whose limbs
-    hold a whole row-times-column accumulation of length N."""
+def _packed_rows(M: NuclearMatrix, order=None) -> tuple[Packer, list[list[int]]]:
+    """The block of M on the indices `order` (default: all) with every
+    entry packed, and the packer, whose limbs hold a whole row-times-column
+    accumulation of length N.  Every entry of M must carry one precision."""
     first = M.entries[0][0]
     uniform = (first.prec[0],) * first.b
     if any(e.prec != uniform for row in M.entries for e in row):
         raise CertificateError("matrix entries must carry uniform precision")
     pk = packer(first.p, first.b, uniform[0], M.size)
-    return pk, [[pk.pack(e) for e in row] for row in M.entries]
+    block = M.entries if order is None else [[M.entries[v][u] for u in order] for v in order]
+    return pk, [[pk.pack(e) for e in row] for row in block]
 
 
 def char_series(M: NuclearMatrix, smax: int,
@@ -97,19 +98,18 @@ def char_series(M: NuclearMatrix, smax: int,
     With `base = (C, idx)`, C must be det(1 - s B) mod s^(smax+1) for the
     principal block B of M on the indices `idx`, in that order; the
     product resumes from C and borders only those remaining indices whose
-    row has a nonzero entry.  Ordering `idx` first is a permutation
-    similarity of M, and a zero row k makes row k of 1 - s M the unit
-    vector e_k, so deleting row and column k leaves the determinant
-    unchanged; both are exact in value and in precision, since every
-    entry is known to the same precision and packs to 0 only when it is
-    0 to all of it.  The caller certifies that B is that block.
+    row has a nonzero entry (packing nothing when there is none).
+    Ordering `idx` first is a permutation similarity of M, and a zero row
+    k makes row k of 1 - s M the unit vector e_k, so deleting row and
+    column k leaves the determinant unchanged; both are exact in value
+    and in precision, since every entry is known to the same precision
+    and is 0 only when it is 0 to all of it.  The caller certifies that
+    B is that block.
 
     Without `base` every row is bordered in index order, zero or not:
     the live-row selection at assembly time (ROADMAP items 1 and 3) is
     to replace that path as a whole."""
-    pk, rows = _packed_rows(M)
-    result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
-    start = 0
+    order, start, result = None, 0, None
     if base is not None:
         done, idx = base
         if done.smax != smax:
@@ -117,9 +117,13 @@ def char_series(M: NuclearMatrix, smax: int,
         taken = set(idx)
         if len(taken) != len(idx) or not taken <= set(range(M.size)):
             raise ValueError("base indices must be distinct indices of the matrix")
-        order = [*idx, *(k for k in range(M.size) if k not in taken and any(rows[k]))]
-        rows = [[rows[v][u] for u in order] for v in order]
-        result, start = list(done.coeffs), len(idx)
+        live = [k for k in range(M.size)
+                if k not in taken and not all(e.is_zero() for e in M.entries[k])]
+        order = [*idx, *live] if live else []
+        start, result = len(idx), list(done.coeffs)
+    pk, rows = _packed_rows(M, order)
+    if result is None:
+        result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
     for k in range(start, len(rows)):
         # the factor is 1 - sum_j g[j] s^(j+1): g = [a, R C, R M_k C, ...]
         g = [pk.unpack(rows[k][k])]

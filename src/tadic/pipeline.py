@@ -57,7 +57,7 @@ class TraceFormulaRun:
 def run_trace_formula(tower: TowerInput, prof: PrecisionProfile) -> TraceFormulaRun:
     if tower.p != prof.p:
         raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
-    check_degree_bound(tower.geometry, prof.p, prof.D)
+    check_degree_bound(tower.geometry, prof)
     ef = build_Ef(tower, prof)
     m0 = assemble_matrix(ef, 0, prof)
     m1 = assemble_matrix(ef, 1, prof)
@@ -125,14 +125,14 @@ def _same(a: ZpTSeries, c: ZpTSeries) -> bool:
     return a.vals == c.vals and a.prec == c.prec
 
 
-def _base_block(small: NuclearMatrix, big: NuclearMatrix) -> list[int]:
+def _base_block(small: NuclearMatrix, big: NuclearMatrix) -> range:
     """Indices of `big` that carry the basis of `small`, in its order,
     after certifying that `small` is the principal block of `big` there:
     every entry agrees in value and in precision."""
     shift = small.basis_offset - big.basis_offset
     if shift < 0 or shift + small.size > big.size:
         raise CertificateError(f"psi_{small.degree_index} basis at D is not inside 2D")
-    idx = [shift + k for k in range(small.size)]
+    idx = range(shift, shift + small.size)
     for v, row in zip(idx, small.entries):
         for u, e in zip(idx, row):
             if not _same(e, big.entries[v][u]):
@@ -148,25 +148,29 @@ def doubling_check(tower: TowerInput, prof: PrecisionProfile,
     coefficient of both characteristic series and of L must reproduce
     exactly.
 
-    E_f does not depend on D, so both 2D matrices are assembled from
-    `base.ef`, with the theta gate, decay and mod-T certificates.  The
-    base matrices are certified to be the blocks of the 2D matrices on
-    the base exponents, and the Berkowitz product for each 2D matrix
-    resumes from the base series past that block (`char_series` with
-    `base`), so the 2D series equal a from-scratch recomputation.  The
-    resumed product borders only the rows with a nonzero entry: row v
-    of psi_i vanishes mod T^b once p v > 2D + d (b - 1), which at the
-    decay-based D is nearly every row past the base block.
+    Row v of psi_i at 2D is (p or 1) E_f[p v - u] over |u| <= 2D, and
+    `base.ef` (independent of D) stores nothing past R = d (b - 1), where
+    E_f vanishes mod T^b.  So rows with p |v| - 2D > R are zero, and
+    dropping them with their columns leaves det(1 - s psi_i) as it is.
+    Only |v| <= K = min(2D, max(D, (2D + R) // p)) is assembled; the base
+    matrices are certified to be its blocks, only the entries past them
+    get the decay and mod-T certificates, and the Berkowitz product
+    resumes from the base series (`char_series` with `base`).
 
     On failure `info` names the series, the s- and T-index of
     the first differing coefficient and v_p of the difference at the
     joint precision (that precision when only the precision differs)."""
     if base.tower != tower or base.prof != prof:
         raise UsageError("the base run was made for another tower or profile")
-    big_prof = prof.with_D(2 * prof.D)
+    D, R = prof.D, base.ef.series.bound
+    if any(abs(j) > R for j in base.ef.series.coeffs):
+        raise CertificateError(f"E_f stores a coefficient past its window {R}")
+    K = min(2 * D, max(D, (2 * D + R) // prof.p))
+    if K < 2 * D and prof.p * (K + 1) - 2 * D <= R:
+        raise CertificateError(f"row {K + 1} at 2D is within reach of E_f")
     big = []
     for i, small, c in ((0, base.m0, base.c0), (1, base.m1, base.c1)):
-        m = assemble_matrix(base.ef, i, big_prof)
+        m = assemble_matrix(base.ef, i, prof.with_D(K), base_D=D)
         big.append(char_series(m, prof.smax, base=(c, _base_block(small, m))))
     big_l = l_from_char_series(*big)
     for name, small_s, big_s in (("C0", base.c0.coeffs, big[0].coeffs),
@@ -289,8 +293,8 @@ def _check_semilinearity(run: TraceFormulaRun, trials: int = 20,
 def run_selfcheck(tower: TowerInput, prof: PrecisionProfile) -> dict:
     """Doubling stability, route agreement, fiber identities, operator
     semilinearity, and the splitting-function round trip.  The doubling
-    check's 2D row limit is checked before any work."""
-    check_degree_bound(tower.geometry, prof.p, 2 * prof.D)
+    check's row and cost limits at 2D are checked before any work."""
+    check_degree_bound(tower.geometry, prof.with_D(2 * prof.D))
     run = run_trace_formula(tower, prof)
     checks: list[dict] = []
 

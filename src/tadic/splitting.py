@@ -34,9 +34,9 @@ from .zp import ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 class TowerInput:
     """A tower datum: prime, geometry, and the monomials of f.
 
-    Coefficients are residues mod p; zero coefficients and the constant
-    term are dropped (the constant only shifts the exponential sums by a
-    global unit and is normalized away)."""
+    Coefficients are residues mod p, and zero coefficients are dropped.
+    A nonzero constant term is a usage error: it only shifts L(f, s) to
+    L(f, (1+T)^[c] s), a substitution the caller makes."""
 
     p: int
     geometry: Geometry
@@ -49,8 +49,9 @@ class TowerInput:
             if c == 0:
                 continue
             if u == 0:
-                warnings.warn("constant term of f discarded (normalized to 0)")
-                continue
+                raise UsageError(f"constant term {c}: with Teichmuller lifts S_d(f + c) = "
+                                 "(1+T)^(d [c]) S_d(f), so L(f + c, s) = L(f, (1+T)^[c] s); "
+                                 "drop it and substitute s")
             if self.geometry is Geometry.AFFINE_LINE and u < 0:
                 raise UsageError("negative exponents need the torus geometry")
             cleaned[u] = c

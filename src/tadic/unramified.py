@@ -25,6 +25,7 @@ included; its Frobenius conjugates are g^(k p^i).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import CertificateError, UsageError
 from .zp import ppow
@@ -246,12 +247,6 @@ def unramified_trace(e: UnramifiedApprox) -> int:
 
 
 def field_elements(p: int, d: int):
-    """All coordinate vectors of F_{p^d} in lexicographic order."""
-    coords = [0] * d
-    total = ppow(p, d)
-    for code in range(total):
-        n = code
-        for i in range(d):
-            coords[i] = n % p
-            n //= p
-        yield tuple(coords)
+    """All coordinate vectors of F_{p^d} in lexicographic order, the last
+    coordinate most significant."""
+    return (c[::-1] for c in product(range(p), repeat=d))

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tadic
-from tadic import pipeline
+from tadic import pipeline, splitting
 from tadic.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -23,8 +23,10 @@ from tadic.cli import (
     parse_f_spec,
     run,
 )
+from tadic.dwork import check_degree_bound
 from tadic.errors import UsageError
-from tadic.profile import PRIME_TEST_BOUND, is_prime
+from tadic.profile import PRIME_TEST_BOUND, PrecisionProfile, is_prime
+from tadic.xseries import Geometry
 
 
 def parse_lseries(block):
@@ -312,6 +314,28 @@ def test_matrix_limit_is_checked_before_the_splitting_function(monkeypatch, caps
     monkeypatch.setattr(pipeline, "build_Ef", refuse)
     assert main([command, "--p", "2", "--prec-T", "1300"]) == EXIT_USAGE
     assert "1305 matrix rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 605 rows are under the rows limit, but at b = 600 they take minutes
+    (["--p", "2", "--prec-T", "600"], "605 matrix rows at T-adic order b = 600"),
+    # three rows, but pi and E_f alone grow as about b^4
+    (["--p", "2", "--prec-T", "500", "--x-degree", "2"], "3 matrix rows at T-adic order b = 500"),
+])
+def test_cost_limit_in_b_is_checked_before_pi(monkeypatch, capsys, argv, message):
+    def refuse(*args):
+        raise AssertionError("pi was computed before the cost limit was checked")
+
+    monkeypatch.setattr(splitting, "pi_from_T", refuse)
+    assert main(["lfun", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,b,smax", [(7, 80, 9), (11, 120, 6)])
+def test_cost_limit_admits_the_deep_slope_runs(p, b, smax):
+    # criterion 8 and the p = 11 stretch case, at the decay-based D
+    D = -(-3 * b // (p - 1)) + 6
+    check_degree_bound(Geometry.AFFINE_LINE, PrecisionProfile.create(p, 6, b, smax, 1, D=D))
 
 
 def test_main_rejects_unwritable_out(capsys):

@@ -1,5 +1,6 @@
 """Tests for the orchestration layer."""
 
+import copy
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from tadic import dwork, pipeline, unramified, zp
 from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
-from tadic.fredholm import LFunctionSeries, char_series
+from tadic.fredholm import LFunctionSeries, char_series, l_from_char_series
 from tadic.pipeline import (
     FIBER_DEGREE,
     _base_block,
@@ -126,10 +127,28 @@ def test_doubling_check_on_the_slopes_deep_tower_borders_no_row(monkeypatch):
     assert dots == []
 
 
-@pytest.mark.parametrize("change", ["value", "precision"])
-def test_doubling_check_rejects_base_block_that_disagrees(change):
+def _record_border(monkeypatch):
+    """(matrix size, base block size) of every `char_series` call the
+    doubling check makes."""
+    calls = []
+    series = pipeline.char_series
+
+    def spy(M, smax, base=None):
+        calls.append((M.size, len(base[1])))
+        return series(M, smax, base=base)
+
+    monkeypatch.setattr(pipeline, "char_series", spy)
+    return calls
+
+
+@pytest.mark.parametrize("change,D", [("value", None), ("precision", None),
+                                      ("value", 3), ("precision", 3)],
+                         ids=["value", "precision", "value-border", "precision-border"])
+def test_doubling_check_rejects_base_block_that_disagrees(monkeypatch, change, D):
+    # at the default D no row past the base block can be nonzero at 2D;
+    # at D = p = 3 the rows x^4 and x^-4 can, and psi_0 is bordered by them
     tower = TowerInput(3, Geometry.TORUS, {2: 1, -1: 1})
-    prof = profile(p=3, degree=2)
+    prof = profile(p=3, degree=2, D=D)
     base = run_trace_formula(tower, prof)
     entries = [row[:] for row in base.m1.entries]
     e = entries[1][0]
@@ -138,8 +157,55 @@ def test_doubling_check_rejects_base_block_that_disagrees(change):
     else:
         entries[1][0] = ZpTSeries(e.p, e.b, e.vals, (prof.work + 1,) * e.b)
     bad = replace(base, m1=replace(base.m1, entries=entries))
+    calls = _record_border(monkeypatch)
     with pytest.raises(CertificateError, match=r"psi_1 entry \(1,0\)"):
         doubling_check(tower, prof, base=bad)
+    [(size, block)] = calls
+    assert (size > block) is (D is not None)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_doubling_check_refuses_an_ef_coefficient_past_its_window(sign):
+    # rows are dropped because E_f stores nothing past d (b - 1); a stored
+    # coefficient there would reach them
+    tower = TowerInput(3, Geometry.TORUS, {2: 1, -1: 1})
+    prof = profile(p=3, degree=2)
+    base = run_trace_formula(tower, prof)
+    series = copy.copy(base.ef.series)
+    series.coeffs = {**series.coeffs,
+                     sign * (series.bound + 1): ZpTSeries.one(3, prof.b, prof.work)}
+    bad = replace(base, ef=replace(base.ef, series=series))
+    with pytest.raises(CertificateError, match="past its window"):
+        doubling_check(tower, prof, base=bad)
+
+
+@pytest.mark.parametrize("vu,message", [
+    ((5, 1), "decay bound"),      # E_f[14] must vanish to T^7
+    ((2, 6), "mod T is"),         # E_f[0]: theta_0 mod T
+    ((1, 4), "should vanish"),    # E_f[-1] on the affine line
+])
+def test_doubling_check_certifies_the_border_entries(monkeypatch, vu, message):
+    # p = 3, f = x^2, b = 8, D = 3: the 2D matrices keep the exponents
+    # up to K = (6 + 14) // 3 = 6, and (v, u) lies past the base block
+    tower = TowerInput(3, Geometry.AFFINE_LINE, {2: 1})
+    prof = profile(p=3, b=8, degree=2, D=3)
+    base = run_trace_formula(tower, prof)
+    # D = p is too small, which the check reports without raising
+    assert doubling_check(tower, prof, base=base)[0] is False
+    rule = dwork.psi_entries
+    # T itself, or 1 added to the entry that must be p mod T
+    plant = ZpTSeries.from_ints(3, prof.b, [0, 1] if message != "mod T is" else [1], prof.work)
+
+    def planted(coeffs, i, big_prof, exps):
+        entries = rule(coeffs, i, big_prof, exps)
+        if i == 0:
+            v, u = (list(exps).index(x) for x in vu)
+            entries[v][u] = entries[v][u] + plant if message == "mod T is" else plant
+        return entries
+
+    monkeypatch.setattr(dwork, "psi_entries", planted)
+    with pytest.raises(CertificateError, match=message):
+        doubling_check(tower, prof, base=base)
 
 
 def test_run_selfcheck_torus():
@@ -285,3 +351,32 @@ def test_random_towers_agree_and_double(tower):
     res = run_compare(tower, prof)
     assert res.verdict.agree, res.verdict.first_mismatch
     assert doubling_check(tower, prof, base=res.trace) == (True, {})
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tower=towers(), b=st.sampled_from([4, 6]),
+       which=st.sampled_from(["least", "between", "decay-based"]))
+def test_doubling_check_equals_the_2D_run_from_scratch(tower, b, which):
+    # D = p borders real rows past the base block (or keeps all of 2D), the
+    # decay-based D borders none; either way the 2D series the check
+    # computes, and its verdict, are those of the whole 2D matrices
+    p, d = tower.p, max(tower.degree, 1)
+    decay = max(p, -(-d * b // (p - 1)) + 2 * d)
+    D = {"least": p, "between": (p + decay) // 2, "decay-based": decay}[which]
+    prof = PrecisionProfile.create(p, 3, b, 3, 1, degree=d, D=D)
+    base = run_trace_formula(tower, prof)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("char_series", "l_from_char_series"):
+            mp.setattr(pipeline, name, lambda *args, fn=getattr(pipeline, name), **kw:
+                       seen.append(fn(*args, **kw)) or seen[-1])
+        verdict = doubling_check(tower, prof, base=base)
+    big_prof = prof.with_D(2 * D)
+    c0, c1 = (char_series(dwork.assemble_matrix(base.ef, i, big_prof), prof.smax)
+              for i in (0, 1))
+    want = [c0, c1, l_from_char_series(c0, c1)]
+    assert [[(x.vals, x.prec) for x in s.coeffs] for s in seen] == \
+        [[(x.vals, x.prec) for x in s.coeffs] for s in want]
+    assert verdict == doubling_by_recomputation(
+        base, SimpleNamespace(c0=c0, c1=c1, lfun=want[2]))
