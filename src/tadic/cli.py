@@ -90,12 +90,11 @@ class JobConfig:
         self.command = command
         if geometry is None or str(geometry).lower() not in _GEOMETRIES:
             raise UsageError(f"unknown geometry {geometry!r}; use affine or torus")
-        self.geometry = _GEOMETRIES[str(geometry).lower()]
-        self.f = parse_f_spec(f if f is not None else {})
-        self.p = _integer("p", p)
-        self.a, self.b = _integer("a", a), _integer("b", b)
-        self.smax, self.dmax = _integer("smax", smax), _integer("dmax", dmax)
-        self.D = None if D in (None, "auto") else _integer("D", D)
+        f = parse_f_spec(f if f is not None else {})
+        p = _integer("p", p)
+        a, b = _integer("a", a), _integer("b", b)
+        smax, dmax = _integer("smax", smax), _integer("dmax", dmax)
+        D = None if D in (None, "auto") else _integer("D", D)
         self.block_degree = (None if block_degree in (None, "auto")
                              else _integer("block_degree", block_degree))
         if self.block_degree is not None and self.block_degree < 1:
@@ -104,27 +103,20 @@ class JobConfig:
             raise UsageError(f"out must be a path string, got {out!r}")
         self.out = out
         # the tower reduces coefficients mod p, so p is checked first
-        if not is_prime(self.p):
-            raise UsageError(f"p = {self.p} is not prime")
-        self.tower = TowerInput(self.p, self.geometry, self.f)
+        if not is_prime(p):
+            raise UsageError(f"p = {p} is not prime")
+        self.tower = TowerInput(p, _GEOMETRIES[str(geometry).lower()], f)
         self.profile = PrecisionProfile.create(
-            self.p, self.a, self.b, self.smax, self.dmax,
-            degree=max(self.tower.degree, 1), D=self.D)
+            p, a, b, smax, dmax, degree=max(self.tower.degree, 1), D=D)
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "p": self.p,
-            "geometry": self.geometry.value,
-            "f": {str(u): c for u, c in sorted(self.f.items())},
-            "a": self.a,
-            "b": self.b,
-            "D": self.profile.D,
-            "smax": self.smax,
-            "dmax": self.dmax,
-            "guard": self.profile.guard,
-            "block_degree": self.block_degree,
-        }
+        """The job as computed: the tower's f (reduced mod p, zero
+        coefficients dropped) and the profile's fields."""
+        prof = self.profile
+        return {"command": self.command, "p": prof.p, "geometry": self.tower.geometry.value,
+                "f": {str(u): c for u, c in sorted(self.tower.f_coeffs.items())},
+                **{k: getattr(prof, k) for k in ("a", "b", "D", "smax", "dmax", "guard")},
+                "block_degree": self.block_degree}
 
 
 def serialize_lseries(coeffs, digits: int) -> list[list[str]]:

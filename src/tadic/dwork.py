@@ -34,31 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, UsageError
+from .errors import CertificateError
 from .profile import PrecisionProfile
 from .splitting import SplittingFunction
 from .xseries import Geometry, XSeries
 from .zp import ZpTSeries
-
-
-# The default D >= p must not let a large prime ask for a matrix that
-# outruns the five minutes of CPU the oracle's POINT_BUDGET allows.
-# `lfun --f 1:1` at the CLI defaults (a = 6, b = 8, smax = 4, D = p) took
-# 2.1, 7.4, 15.9, 44.6, 79.3 and 158 s of CPU at N = 212, 402, 602, 810,
-# 1010 and 1278 rows (p = 211 to 1277), about N^3, with a 271 MB peak at
-# 1278; p = 2 on the torus took 4.2, 15.8 and 35.1 s at N = 401, 601 and
-# 801 (Python 3.11 on a 2-core Xeon VM).  1280 rows keeps every run near
-# 160 s at most, half the standard, which leaves room for slower hosts.
-MAX_MATRIX_ROWS = 1280
-
-# Past b = 8 the cost grows with b as well, fastest at p = 2, whose working
-# digits grow with b: there `lfun --f 1:1` took 2.6, 39 and 120 s of CPU at
-# (N, b) = (55, 50), (85, 80), (105, 100), about (N b)^3, and 7.3, 220 and
-# 246 s at (21, 150), (52, 200), (35, 300), about N^2.5 b^3.2; pi and E_f
-# alone (N = 3) took 14.4 and 37.4 s at b = 300 and 400.  At the limits
-# below, p = 2 took 18, 65 and 36 s at (210, 50), (46, 150), (26, 200), p = 3
-# 53 s at (105, 100), and p = 11 with f = x^3 4.9 s at (43, 120) (same host).
-MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
 
 
 def _theta(g: XSeries, factor: int) -> XSeries:
@@ -166,23 +146,6 @@ def basis_exponents(geometry: Geometry, i: int, D: int) -> tuple[int, int]:
     return -D, 2 * D + 1             # x^-D .. x^D
 
 
-def check_degree_bound(geometry: Geometry, prof: PrecisionProfile) -> None:
-    """Refuse a degree bound below p, which the Dwork matrices need, or a
-    profile past a cost limit: more than MAX_MATRIX_ROWS rows in the psi_0
-    basis, the larger of the two, rows x b x max(b, 100) past
-    MAX_MATRIX_WORK at T-adic order b, or b past MAX_PREC_T.  All follow
-    from the profile, so a run is refused before any work, pi included."""
-    D, b = prof.D, prof.b
-    if D < prof.p:
-        raise UsageError(f"degree bound D = {D} too small: need D >= p = {prof.p}")
-    size = basis_exponents(geometry, 0, D)[1]
-    if size > MAX_MATRIX_ROWS:
-        raise UsageError(f"degree bound D = {D} gives {size} matrix rows, over {MAX_MATRIX_ROWS}")
-    if size * b * max(b, 100) > MAX_MATRIX_WORK or b > MAX_PREC_T:
-        raise UsageError(f"{size} matrix rows at T-adic order b = {b}: over the cost limits "
-                         f"rows x b x max(b, 100) <= {MAX_MATRIX_WORK}, b <= {MAX_PREC_T}")
-
-
 def psi_entries(coeffs: dict[int, ZpTSeries], i: int, prof: PrecisionProfile,
                 exps) -> list[list[ZpTSeries]]:
     """Matrix of theta_i o (E *) on the basis exponents `exps`, E given by
@@ -208,7 +171,6 @@ def assemble_matrix(ef: SplittingFunction, i: int, prof: PrecisionProfile,
     if i not in (0, 1):
         raise ValueError("degree index must be 0 or 1")
     geometry = ef.series.geometry
-    check_degree_bound(geometry, prof)
     offset, size = basis_exponents(geometry, i, prof.D)
     block = range(0)
     if base_D is None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dwork import NuclearMatrix, assemble_matrix, check_degree_bound
-from .errors import CertificateError, PrecisionError, UsageError
+from .dwork import NuclearMatrix, assemble_matrix, basis_exponents
+from .errors import BudgetError, CertificateError, PrecisionError, UsageError
 from .fredholm import (
     FredholmSeries,
     LFunctionSeries,
@@ -34,12 +34,69 @@ from .splitting import (
     SplittingFunction,
     TowerInput,
     build_Ef,
+    default_ef_bound,
     fiber_character_value,
     norm_of_ef_at_orbit,
 )
 from .unramified import teichmuller_powers
 from .xseries import Geometry
 from .zp import ZpTSeries, ppow, vp_int
+
+
+# The default D >= p must not let a large prime ask for a matrix that
+# outruns the five minutes of CPU the oracle's POINT_BUDGET allows.
+# `lfun --f 1:1` at the CLI defaults (a = 6, b = 8, smax = 4, D = p) took
+# 2.1, 7.4, 15.9, 44.6, 79.3 and 158 s of CPU at N = 212, 402, 602, 810,
+# 1010 and 1278 rows (p = 211 to 1277), about N^3, with a 271 MB peak at
+# 1278; p = 2 on the torus took 4.2, 15.8 and 35.1 s at N = 401, 601 and
+# 801 (Python 3.11 on a 2-core Xeon VM).  1280 rows keeps every run near
+# 160 s at most, half the standard, which leaves room for slower hosts.
+MAX_MATRIX_ROWS = 1280
+
+# Past b = 8 the cost grows with b as well, fastest at p = 2, whose working
+# digits grow with b: there `lfun --f 1:1` took 2.6, 39 and 120 s of CPU at
+# (N, b) = (55, 50), (85, 80), (105, 100), about (N b)^3, and 7.3, 220 and
+# 246 s at (21, 150), (52, 200), (35, 300), about N^2.5 b^3.2; pi and E_f
+# alone (N = 3) took 14.4 and 37.4 s at b = 300 and 400.  At the limits
+# below, p = 2 took 18, 65 and 36 s at (210, 50), (46, 150), (26, 200), p = 3
+# 53 s at (105, 100), and p = 11 with f = x^3 4.9 s at (43, 120) (same host).
+MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
+
+# The fiber identity evaluates E_f at the p + p^2 points of degree <= 2 for
+# about 10 us of CPU per point x b^2: 0.75, 0.68, 0.82 ms per point at p = 31,
+# 101, 211 (b = 8) and 12, 131, 336, 1650 ms at (p, b) = (31, 32), (7, 120),
+# (3, 200), (2, 400); f = x^3 costs as f = x (same host).  The budget admits
+# p <= 389 at b = 8, whose selfcheck took 146 s, near the matrix limits' 160 s.
+FIBER_DEGREE, FIBER_BUDGET = 2, 10 ** 7
+
+
+def check_job(command: str, tower: TowerInput, prof: PrecisionProfile) -> int:
+    """The one sizing rule: refuse a job whose work is past a limit before
+    any of it, pi included, and return the degree bound of its matrices.
+    The trace route (`run_trace_formula`: lfun, slopes) and compare build
+    psi_0 and psi_1 at D, compare after the oracle's own rule; "doubling"
+    (`doubling_check`) and selfcheck build only their rows |v| <= K that
+    can be nonzero at 2D, and selfcheck checks the fiber identity at
+    p + ... + p^FIBER_DEGREE points, points x b^2 within FIBER_BUDGET."""
+    p, D, b = prof.p, prof.D, prof.b
+    if tower.p != p:
+        raise UsageError(f"tower over F_{tower.p} with a profile for p = {p}")
+    if command == "compare":
+        check_oracle_inputs(tower, prof)
+    if D < p:
+        raise UsageError(f"degree bound D = {D} too small: need D >= p = {p}")
+    K = (min(2 * D, max(D, (2 * D + default_ef_bound(tower, prof)) // p))
+         if command in ("doubling", "selfcheck") else D)
+    rows = basis_exponents(tower.geometry, 0, K)[1]
+    if rows > MAX_MATRIX_ROWS or rows * b * max(b, 100) > MAX_MATRIX_WORK or b > MAX_PREC_T:
+        raise UsageError(f"psi_0 on |v| <= {K} (D = {D}): {rows} matrix rows at T-adic order "
+                         f"b = {b}, over the limits rows <= {MAX_MATRIX_ROWS}, rows x b x "
+                         f"max(b, 100) <= {MAX_MATRIX_WORK}, b <= {MAX_PREC_T}")
+    points = sum(p ** d for d in range(1, FIBER_DEGREE + 1))
+    if command == "selfcheck" and points * b * b > FIBER_BUDGET:
+        raise BudgetError(f"the fiber identity's {points} points at b = {b}: "
+                          f"points x b^2 over the budget {FIBER_BUDGET}")
+    return K
 
 
 @dataclass
@@ -55,9 +112,7 @@ class TraceFormulaRun:
 
 
 def run_trace_formula(tower: TowerInput, prof: PrecisionProfile) -> TraceFormulaRun:
-    if tower.p != prof.p:
-        raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
-    check_degree_bound(tower.geometry, prof)
+    check_job("lfun", tower, prof)
     ef = build_Ef(tower, prof)
     m0 = assemble_matrix(ef, 0, prof)
     m1 = assemble_matrix(ef, 1, prof)
@@ -113,8 +168,7 @@ class CompareRun:
 
 
 def run_compare(tower: TowerInput, prof: PrecisionProfile) -> CompareRun:
-    # the oracle's preconditions follow from the profile: refuse before any work
-    check_oracle_inputs(tower, prof)
+    check_job("compare", tower, prof)
     trace = run_trace_formula(tower, prof)
     lf_oracle, sums = oracle_lfun(tower, prof)
     verdict = compare_series(trace.lfun, lf_oracle)
@@ -152,20 +206,21 @@ def doubling_check(tower: TowerInput, prof: PrecisionProfile,
     `base.ef` (independent of D) stores nothing past R = d (b - 1), where
     E_f vanishes mod T^b.  So rows with p |v| - 2D > R are zero, and
     dropping them with their columns leaves det(1 - s psi_i) as it is.
-    Only |v| <= K = min(2D, max(D, (2D + R) // p)) is assembled; the base
-    matrices are certified to be its blocks, only the entries past them
-    get the decay and mod-T certificates, and the Berkowitz product
-    resumes from the base series (`char_series` with `base`).
+    Only the rows that can be nonzero, |v| <= K with K from `check_job`,
+    are assembled; the base matrices are certified to be their principal
+    blocks, only the entries past those blocks get the decay and mod-T
+    certificates, and the Berkowitz product resumes from the base series
+    (`char_series` with `base`).
 
     On failure `info` names the series, the s- and T-index of
     the first differing coefficient and v_p of the difference at the
     joint precision (that precision when only the precision differs)."""
     if base.tower != tower or base.prof != prof:
         raise UsageError("the base run was made for another tower or profile")
+    K = check_job("doubling", tower, prof)
     D, R = prof.D, base.ef.series.bound
     if any(abs(j) > R for j in base.ef.series.coeffs):
         raise CertificateError(f"E_f stores a coefficient past its window {R}")
-    K = min(2 * D, max(D, (2 * D + R) // prof.p))
     if K < 2 * D and prof.p * (K + 1) - 2 * D <= R:
         raise CertificateError(f"row {K + 1} at 2D is within reach of E_f")
     big = []
@@ -232,9 +287,6 @@ def _check_route_agreement(run: TraceFormulaRun) -> tuple[bool, str]:
                         f"mismatch at {cmp_.first_mismatch}, v_p {cmp_.mismatch_vp}")
 
 
-FIBER_DEGREE = 2
-
-
 def _check_fiber_identity(run: TraceFormulaRun) -> tuple[bool, str]:
     """Dwork's splitting lemma at every point of degree d <= FIBER_DEGREE:
     the q - 1 powers g^k of one Teichmuller generator per degree, and 0 on
@@ -292,9 +344,10 @@ def _check_semilinearity(run: TraceFormulaRun, trials: int = 20,
 
 def run_selfcheck(tower: TowerInput, prof: PrecisionProfile) -> dict:
     """Doubling stability, route agreement, fiber identities, operator
-    semilinearity, and the splitting-function round trip.  The doubling
-    check's row and cost limits at 2D are checked before any work."""
-    check_degree_bound(tower.geometry, prof.with_D(2 * prof.D))
+    semilinearity, and the splitting-function round trip, sized before any
+    work by `check_job`: the doubling check's rows |v| <= K and the fiber
+    identity's points."""
+    check_job("selfcheck", tower, prof)
     run = run_trace_formula(tower, prof)
     checks: list[dict] = []
 

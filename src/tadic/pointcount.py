@@ -50,23 +50,16 @@ class ExpSumReport:
     point_counts: tuple[int, ...]
 
 
-def check_point_budget(p: int, dmax: int) -> None:
-    """Refuse an enumeration to degree dmax whose top degree has more
-    than POINT_BUDGET points.  It depends on p and dmax alone, so a run
-    can be refused before any work."""
-    if p ** dmax > POINT_BUDGET:
-        raise BudgetError(f"{p}^{dmax} = {p ** dmax} points exceed the enumeration budget {POINT_BUDGET}")
-
-
 def check_oracle_inputs(tower: TowerInput, prof: PrecisionProfile) -> None:
-    """Refuse an oracle run the profile cannot serve: a profile for
-    another prime, dmax < smax, or a top degree past POINT_BUDGET.  All
-    follow from the inputs, so a run can be refused before any work."""
+    """The oracle's one rule: refuse a profile for another prime, dmax <
+    smax, or a top degree past POINT_BUDGET.  It reads only the inputs, so
+    `oracle_lfun`, `exp_sum` and compare refuse before any work."""
     if tower.p != prof.p:
         raise UsageError(f"tower over F_{tower.p} with a profile for p = {prof.p}")
     if prof.dmax < prof.smax:
         raise UsageError("need dmax >= smax to assemble the oracle L-series")
-    check_point_budget(prof.p, prof.dmax)
+    if (n := prof.p ** prof.dmax) > POINT_BUDGET:
+        raise BudgetError(f"{prof.p}^{prof.dmax} = {n} points exceed the enumeration budget {POINT_BUDGET}")
 
 
 def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
@@ -102,8 +95,8 @@ def _frobenius_orbits(p: int, order: int) -> list[tuple[int, int]]:
 def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     """The degree-d exponential sum: sum over points x in F_{p^d} (without
     0 on the torus) of (1+T)^(Tr f(x_hat))."""
+    check_oracle_inputs(tower, prof)
     p = tower.p
-    check_point_budget(p, d)
     if d > prof.dmax:
         raise UsageError(f"d = {d} exceeds dmax = {prof.dmax}")
     w = prof.work

@@ -23,9 +23,9 @@ from tadic.cli import (
     parse_f_spec,
     run,
 )
-from tadic.dwork import check_degree_bound
 from tadic.errors import UsageError
 from tadic.profile import PRIME_TEST_BOUND, PrecisionProfile, is_prime
+from tadic.splitting import TowerInput
 from tadic.xseries import Geometry
 
 
@@ -289,11 +289,16 @@ def test_main_refuses_a_prime_past_the_matrix_limit(capsys):
 @pytest.mark.parametrize("argv, code, message", [
     # 211^4 points are past the enumeration budget
     (["compare", "--p", "211", "--f", "1:1"], EXIT_RESOURCE, "211^4"),
-    # the base run fits, but D = 647 doubles to 1295 rows, past the limit
-    (["selfcheck", "--p", "647", "--f", "1:1"], EXIT_USAGE, "1295 matrix rows"),
+    # the base run fits (57 rows at b = 100), but the doubling check builds
+    # the rows |v| <= K = (2D + R) // p = (112 + 99) // 2 = 105, past the cost limit
+    (["selfcheck", "--p", "2", "--f", "1:1", "--prec-T", "100", "--x-degree", "56"],
+     EXIT_USAGE, "106 matrix rows"),
     # the oracle cannot assemble s^3 from sums of degree <= 2
     (["compare", "--p", "211", "--f", "1:1", "--s-degree", "3", "--d-max", "2"],
      EXIT_USAGE, "need dmax >= smax"),
+    # the matrices fit (K = D = 647), but the fiber identity's 647 + 647^2
+    # points would take minutes
+    (["selfcheck", "--p", "647", "--f", "1:1"], EXIT_RESOURCE, "fiber identity"),
 ])
 def test_limits_are_checked_before_the_trace_route(monkeypatch, capsys, argv, code, message):
     def refuse(*args):
@@ -335,7 +340,17 @@ def test_cost_limit_in_b_is_checked_before_pi(monkeypatch, capsys, argv, message
 def test_cost_limit_admits_the_deep_slope_runs(p, b, smax):
     # criterion 8 and the p = 11 stretch case, at the decay-based D
     D = -(-3 * b // (p - 1)) + 6
-    check_degree_bound(Geometry.AFFINE_LINE, PrecisionProfile.create(p, 6, b, smax, 1, D=D))
+    tower = TowerInput(p, Geometry.AFFINE_LINE, {3: 1})
+    assert pipeline.check_job("lfun", tower, PrecisionProfile.create(p, 6, b, smax, 1, D=D)) == D
+
+
+def test_sizing_admits_the_p11_b120_selfcheck():
+    # the doubling check of D = 42 builds only K = 42 rows, not the 85 of
+    # 2D, and the fiber identity's 11 + 11^2 points fit at b = 120
+    tower = TowerInput(11, Geometry.AFFINE_LINE, {3: 1})
+    prof = PrecisionProfile.create(11, 6, 120, 6, 6, D=42)
+    assert pipeline.check_job("selfcheck", tower, prof) == 42
+    assert pipeline.check_job("doubling", tower, prof) == 42
 
 
 def test_main_rejects_unwritable_out(capsys):
@@ -373,6 +388,18 @@ def test_defaults_live_in_job_config(tmp_path):
     echo = json.loads(out.read_text())["config"]
     assert echo == JobConfig("lfun", f={1: 1}).echo()
     assert (echo["p"], echo["geometry"], echo["a"], echo["b"]) == (2, "affine", 6, 8)
+
+
+def test_echo_reports_the_computed_tower(capsys):
+    # 3 = 0 mod 3 drops the x term: the L-series is that of x^2 alone
+    reports = []
+    for f in ("1:3,2:1", "2:1"):
+        assert main(["lfun", "--p", "3", "--f", f]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    dropped, alone = reports
+    assert dropped["config"]["f"] == alone["config"]["f"] == {"2": 1}
+    assert dropped["results"] == alone["results"]
+    assert JobConfig("lfun", 3, f="1:-1").echo()["f"] == {"1": 2}
 
 
 _WRONG = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)

@@ -179,6 +179,44 @@ def test_doubling_check_refuses_an_ef_coefficient_past_its_window(sign):
         doubling_check(tower, prof, base=bad)
 
 
+@pytest.mark.parametrize("p,geometry,f,b,D,K", [
+    (2, Geometry.AFFINE_LINE, {1: 1}, 8, 4, 7),        # D < K < 2D
+    (7, Geometry.AFFINE_LINE, {3: 1}, 8, 7, 7),        # K = D
+    (3, Geometry.TORUS, {1: 1, -1: 1}, 8, 3, 4),       # D < K < 2D
+    (5, Geometry.TORUS, {1: 1, -1: 1}, 4, 5, 5),       # K = D
+])
+def test_doubling_check_builds_the_rows_its_sizing_counts(monkeypatch, p, geometry, f, b, D, K):
+    tower = TowerInput(p, geometry, f)
+    prof = profile(p=p, b=b, degree=tower.degree, D=D)
+    base = run_trace_formula(tower, prof)
+    sized = []
+    assemble = pipeline.assemble_matrix
+
+    def spy(ef, i, big_prof, base_D=None):
+        sized.append(big_prof.D)
+        return assemble(ef, i, big_prof, base_D=base_D)
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", spy)
+    doubling_check(tower, prof, base=base)
+    assert pipeline.check_job("selfcheck", tower, prof) == K
+    assert sized == [K, K]
+
+
+def test_doubling_check_refuses_an_over_limit_K_before_any_assembly(monkeypatch):
+    # as slopes-deep calls it: D = 56 fits at b = 100 (57 rows), K = 105
+    # does not (106 rows); the base run is never read
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was assembled before K was sized")
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", refuse)
+    tower = TowerInput(2, Geometry.AFFINE_LINE, {1: 1})
+    prof = profile(p=2, b=100, D=56)
+    pipeline.check_job("lfun", tower, prof)
+    base = pipeline.TraceFormulaRun(tower, prof, *[None] * 6)
+    with pytest.raises(UsageError, match="106 matrix rows"):
+        doubling_check(tower, prof, base=base)
+
+
 @pytest.mark.parametrize("vu,message", [
     ((5, 1), "decay bound"),      # E_f[14] must vanish to T^7
     ((2, 6), "mod T is"),         # E_f[0]: theta_0 mod T
