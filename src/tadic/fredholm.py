@@ -22,9 +22,14 @@ separate so they can cross-check each other:
     rows, whose factor is 1.
 
   * `power_traces` computes tr(M^d) for d <= dmax from the powers up
-    to M^ceil(dmax/2), formed over the nonzero rows of M only, reading
-    each higher trace as a pairing of two of them, and `l_from_traces`
-    assembles exp(-sum S_d s^d / d).
+    to M^ceil(dmax/2), formed on the principal block of the nonzero rows
+    of M only, reading each higher trace as a pairing of two of them,
+    and `l_from_traces` assembles exp(-sum S_d s^d / d).
+
+On the torus psi_0 = p psi_1 on one basis, so the pipeline expands only
+det(1 - s psi_1) = C_1(s) and takes C_1(p s) for det(1 - s psi_0) once
+that identity is certified entry by entry (`pipeline.run_trace_formula`);
+`power_traces` still reads psi_0 itself.
 
 Both routes pack the matrix once with the Kronecker packer of `zp`: a
 coefficient vector becomes one big integer whose limbs have room for a
@@ -148,31 +153,30 @@ def char_series(M: NuclearMatrix, smax: int,
 def power_traces(M: NuclearMatrix, dmax: int) -> list[ZpTSeries]:
     """tr(M^d) for d = 1..dmax from the powers M, ..., M^h, h = ceil(dmax/2).
 
-    A zero row of M is a zero row of every power, so only the live rows
-    of each power are kept, and M^(k+1) = M M^k costs one dot per live
-    row and column over the live indices.  tr(M^d) for d <= h sums the
-    diagonal of M^d; past h it pairs M^h with M^c, c = d - h <= h:
-    tr(M^(h+c)) = sum_i sum_j (M^h)_ij (M^c)_ji, one dot per live row,
-    with j live too.  Every entry is known to the same precision
-    (`_packed_rows`) and each dot reduces exactly mod p^w and T^b, so
-    the traces equal those of the iterated product in value and in
-    precision."""
-    pk, rows = _packed_rows(M)
-    live = [i for i, row in enumerate(rows) if any(row)]
+    A closed walk leaves every index it visits, so it visits only the
+    live (nonzero) rows S, and tr(M^d) = tr(M_SS^d): only the principal
+    block M_SS is packed, and M^(k+1)_SS = M_SS M^k_SS costs one dot per
+    pair of live indices.  tr(M^d) for d <= h sums the diagonal of M^d;
+    past h it pairs M^h with M^c, c = d - h <= h:
+    tr(M^(h+c)) = sum_i sum_j (M^h)_ij (M^c)_ji, one dot per live row.
+    Every entry is known to the same precision (`_packed_rows`) and each
+    dot reduces exactly mod p^w and T^b, so the traces equal those of the
+    iterated product in value and in precision."""
+    live = [i for i, row in enumerate(M.entries) if not all(e.is_zero() for e in row)]
+    pk, rows = _packed_rows(M, live)
     h = (dmax + 1) // 2
-    heads = [[rows[i][j] for j in live] for i in live]   # M on the live indices
-    powers = [[rows[i] for i in live]]                     # live rows of M^k
+    powers = [rows]                                        # M^k on S x S
     for _ in range(h - 1):
         cols = list(zip(*powers[-1]))
-        powers.append([[pk.dot(x, col) for col in cols] for x in heads])
+        powers.append([[pk.dot(x, col) for col in cols] for x in rows])
     traces = []
     for d in range(1, dmax + 1):
         if d <= h:
-            acc = sum(row[i] for row, i in zip(powers[d - 1], live))
+            acc = sum(row[i] for i, row in enumerate(powers[d - 1]))
         else:
             other = powers[d - h - 1]
-            acc = sum(pk.dot([row[j] for j in live], [o[i] for o in other])
-                      for row, i in zip(powers[h - 1], live))
+            acc = sum(pk.dot(row, [o[i] for o in other])
+                      for i, row in enumerate(powers[h - 1]))
         traces.append(pk.unpack(pk.reduce(acc)))
     return traces
 

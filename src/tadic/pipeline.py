@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .dwork import NuclearMatrix, assemble_matrix, basis_exponents
 from .errors import BudgetError, CertificateError, PrecisionError, UsageError
@@ -111,13 +112,45 @@ class TraceFormulaRun:
     lfun: LFunctionSeries
 
 
+def _same(a: ZpTSeries, c: ZpTSeries) -> bool:
+    return a.vals == c.vals and a.prec == c.prec
+
+
+def _c0_on_the_torus(m0: NuclearMatrix, m1: NuclearMatrix,
+                     c1: FredholmSeries) -> FredholmSeries:
+    """det(1 - s psi_0) = C_1(p s) on the torus, after certifying that
+    psi_0 = p psi_1: both matrices carry the basis x^-D..x^D, and every
+    entry of m0 must equal p times that of m1 in value and in precision.
+    Entries share their E_f coefficient objects, so each distinct m1
+    entry is scaled once."""
+    p = m0.prof.p
+    if (m0.basis_offset, m0.size) != (m1.basis_offset, m1.size):
+        raise CertificateError("psi_0 and psi_1 are not on one basis")
+    scaled: dict[int, ZpTSeries] = {}
+    for v, (row0, row1) in enumerate(zip(m0.entries, m1.entries)):
+        for u, (e0, e1) in enumerate(zip(row0, row1)):
+            pe = scaled.get(id(e1))
+            if pe is None:
+                pe = scaled[id(e1)] = e1.scale(p)
+            if not _same(e0, pe):
+                raise CertificateError(f"psi_0 entry ({v},{u}) is not p times psi_1's")
+    c0 = FredholmSeries(tuple(c.scale(ppow(p, k)) for k, c in enumerate(c1.coeffs)))
+    c0.assert_integral()
+    return c0
+
+
 def run_trace_formula(tower: TowerInput, prof: PrecisionProfile) -> TraceFormulaRun:
+    """The trace route: E_f, the matrices of psi_0 and psi_1 with their
+    certificates, C_i = det(1 - s psi_i) and L = C_0 / C_1.  On the affine
+    line both series come from `char_series`; on the torus psi_0 = p psi_1,
+    so C_0(s) = C_1(p s) once that is certified (`_c0_on_the_torus`)."""
     check_job("lfun", tower, prof)
     ef = build_Ef(tower, prof)
     m0 = assemble_matrix(ef, 0, prof)
     m1 = assemble_matrix(ef, 1, prof)
-    c0 = char_series(m0, prof.smax)
     c1 = char_series(m1, prof.smax)
+    c0 = (_c0_on_the_torus(m0, m1, c1) if tower.geometry is Geometry.TORUS
+          else char_series(m0, prof.smax))
     lf = l_from_char_series(c0, c1)
     return TraceFormulaRun(tower=tower, prof=prof, ef=ef, m0=m0, m1=m1,
                            c0=c0, c1=c1, lfun=lf)
@@ -173,10 +206,6 @@ def run_compare(tower: TowerInput, prof: PrecisionProfile) -> CompareRun:
     lf_oracle, sums = oracle_lfun(tower, prof)
     verdict = compare_series(trace.lfun, lf_oracle)
     return CompareRun(trace=trace, oracle=lf_oracle, sums=sums, verdict=verdict)
-
-
-def _same(a: ZpTSeries, c: ZpTSeries) -> bool:
-    return a.vals == c.vals and a.prec == c.prec
 
 
 def _base_block(small: NuclearMatrix, big: NuclearMatrix) -> range:
@@ -287,19 +316,36 @@ def _check_route_agreement(run: TraceFormulaRun) -> tuple[bool, str]:
                         f"mismatch at {cmp_.first_mismatch}, v_p {cmp_.mismatch_vp}")
 
 
+def _frobenius_orbits(p: int, order: int):
+    """The orbits {k, p k, p^2 k, ...} that partition Z/order, in order."""
+    seen = bytearray(order)
+    for k in range(order):
+        orbit = []
+        while not seen[k]:
+            seen[k] = 1
+            orbit.append(k)
+            k = k * p % order
+        if orbit:
+            yield orbit
+
+
 def _check_fiber_identity(run: TraceFormulaRun) -> tuple[bool, str]:
     """Dwork's splitting lemma at every point of degree d <= FIBER_DEGREE:
     the q - 1 powers g^k of one Teichmuller generator per degree, and 0 on
-    the affine line."""
+    the affine line.  The points are visited orbit by orbit, and the norms
+    on one orbit share their evaluations of E_f, so E_f is evaluated once
+    per point and only one orbit's evaluations are held at a time."""
     tower, prof = run.tower, run.prof
-    zero = [] if tower.geometry is Geometry.TORUS else [None]
+    zero = [] if tower.geometry is Geometry.TORUS else [[None]]
     for d in range(1, FIBER_DEGREE + 1):
         points = list(teichmuller_powers(prof.p, d, prof))
-        for k in zero + list(range(len(points))):
-            lhs = norm_of_ef_at_orbit(run.ef, points, k)
-            rhs = fiber_character_value(tower, points, k, prof)
-            if not lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)):
-                return False, f"degree {d} point {'0' if k is None else f'g^{k}'}"
+        for orbit in chain(zero, _frobenius_orbits(prof.p, len(points))):
+            evaluations: dict = {}
+            for k in orbit:
+                lhs = norm_of_ef_at_orbit(run.ef, points, k, evaluations)
+                rhs = fiber_character_value(tower, points, k, prof)
+                if not lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)):
+                    return False, f"degree {d} point {'0' if k is None else f'g^{k}'}"
     return True, ""
 
 

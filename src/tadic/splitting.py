@@ -183,16 +183,24 @@ def _mul_unram_tseries(a, b_, width):
 
 
 def norm_of_ef_at_orbit(ef: SplittingFunction, points: Sequence[UnramifiedApprox],
-                        k: int | None) -> ZpTSeries:
+                        k: int | None, evaluations: dict | None = None) -> ZpTSeries:
     """Product of E_f over the Frobenius orbit of the point g^k: E_f at the
-    conjugates g^(k p^i), i < d, whose product lands in Z_p[[T]]."""
+    conjugates g^(k p^i), i < d, whose product lands in Z_p[[T]].
+
+    `evaluations` maps a point index to E_f there: the norms at the points
+    of one orbit share one such dict, so E_f is evaluated once per point
+    of the orbit, not once per conjugate of each."""
     prof = ef.profile
     p, b = prof.p, prof.b
     order = len(points)
+    if evaluations is None:
+        evaluations = {}
     prod = None
     for i in range(points[0].degree):
         conj = None if k is None else k * ppow(p, i) % order
-        val = evaluate_ef_at_point(ef, points, conj)
+        val = evaluations.get(conj)
+        if val is None:
+            val = evaluations[conj] = evaluate_ef_at_point(ef, points, conj)
         prod = val if prod is None else _mul_unram_tseries(prod, val, b)
     # the orbit product is Galois stable; higher coordinates must vanish
     vals = []

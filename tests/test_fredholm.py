@@ -270,7 +270,7 @@ def test_power_traces_match_the_dense_product(data):
 def test_power_traces_dot_only_the_nonzero_rows(monkeypatch, dmax):
     # psi_0 of f = x over F_31 at the default D = p has 32 rows, of which
     # only v = 0 and v = 1 are nonzero: the powers M^2..M^h take one dot
-    # per live row and column, and each paired trace one per live row
+    # per pair of live indices, and each paired trace one per live row
     p, h = 31, (dmax + 1) // 2
     prof = profile(p=p, a=4, b=4, smax=4, dmax=dmax)
     m = assemble_matrix(build_Ef(TowerInput(p, Geometry.AFFINE_LINE, {1: 1}), prof), 0, prof)
@@ -280,7 +280,7 @@ def test_power_traces_dot_only_the_nonzero_rows(monkeypatch, dmax):
     dot = zp.Packer.dot
     monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
     got = power_traces(m, dmax)
-    assert len(dots) == len(live) * (m.size * (h - 1) + dmax - h)
+    assert len(dots) == len(live) * (len(live) * (h - 1) + dmax - h)
     want = dense_power_traces(m.entries, dmax)
     assert [(t.vals, t.prec) for t in got] == [(t.vals, t.prec) for t in want]
 

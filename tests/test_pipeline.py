@@ -2,6 +2,7 @@
 
 import copy
 import re
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tadic import dwork, pipeline, unramified, zp
+from tadic import dwork, pipeline, splitting, unramified, zp
 from tadic.cli import EXIT_MISMATCH, JobConfig, run
 from tadic.errors import CertificateError, UsageError
 from tadic.fredholm import LFunctionSeries, char_series, l_from_char_series
@@ -291,6 +292,27 @@ def test_selfcheck_lifts_once_per_degree(monkeypatch):
     assert sorted(lifted) == list(range(1, FIBER_DEGREE + 1))
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_fiber_identity_evaluates_ef_once_per_point(monkeypatch, geometry):
+    # the norms over an orbit share their evaluations of E_f: one per
+    # point, q - 1 of degree d on the torus and 0 besides on the affine
+    # line, not one per conjugate of each point (d per point)
+    calls = Counter()
+    evaluate = splitting.evaluate_ef_at_point
+
+    def spy(ef, points, k):
+        calls[points[0].degree] += 1
+        return evaluate(ef, points, k)
+
+    monkeypatch.setattr(splitting, "evaluate_ef_at_point", spy)
+    p = 5
+    run = run_trace_formula(TowerInput(p, geometry, {2: 1, 1: 3}),
+                            profile(p=p, a=4, b=4, smax=2, dmax=2, degree=2))
+    assert _check_fiber_identity(run) == (True, "")
+    torus = geometry is Geometry.TORUS
+    assert calls == {d: p ** d - torus for d in range(1, FIBER_DEGREE + 1)}
+
+
 def test_fiber_identity_check_names_the_failing_point():
     # E_f of f = x^3 + 2/x^2 against the character of f = x^3 + 2/x^3
     prof = profile(p=7, a=4, b=4, smax=2, dmax=2, degree=3)
@@ -299,6 +321,42 @@ def test_fiber_identity_check_names_the_failing_point():
                             prof=prof, ef=ef)
     ok, detail = _check_fiber_identity(wrong)
     assert not ok and re.fullmatch(r"degree [12] point g\^\d+", detail), detail
+
+
+@pytest.mark.parametrize("change", ["value", "precision"])
+def test_torus_c0_certifies_psi0_is_p_times_psi1(monkeypatch, change):
+    # C_0 is read off C_1 only after every entry of psi_0 is certified to
+    # be p times psi_1's, in value and in precision
+    assemble = pipeline.assemble_matrix
+    prof = profile(p=3, degree=2)
+
+    def planted(ef, i, prof, base_D=None):
+        mat = assemble(ef, i, prof, base_D=base_D)
+        if i == 0:
+            e = mat.entries[2][3]
+            mat.entries[2] = mat.entries[2][:]
+            mat.entries[2][3] = (e + ZpTSeries.one(e.p, e.b, prof.work) if change == "value"
+                                 else ZpTSeries(e.p, e.b, e.vals, (prof.work + 1,) * e.b))
+        return mat
+
+    monkeypatch.setattr(pipeline, "assemble_matrix", planted)
+    with pytest.raises(CertificateError, match=r"psi_0 entry \(2,3\) is not p times"):
+        run_trace_formula(TowerInput(3, Geometry.TORUS, {2: 1, -1: 1}), prof)
+
+
+@pytest.mark.parametrize("geometry,psi", [(Geometry.AFFINE_LINE, [0, 1]),
+                                          (Geometry.TORUS, [1])])
+def test_char_series_runs_on_psi0_off_the_torus_only(monkeypatch, geometry, psi):
+    seen = []
+    series = pipeline.char_series
+
+    def spy(M, smax, base=None):
+        seen.append(M.degree_index)
+        return series(M, smax, base=base)
+
+    monkeypatch.setattr(pipeline, "char_series", spy)
+    run_trace_formula(TowerInput(3, geometry, {2: 1, 1: 1}), profile(p=3, degree=2))
+    assert sorted(seen) == psi
 
 
 def test_run_slopes_reports_insufficient_precision():
@@ -388,7 +446,19 @@ def test_random_towers_agree_and_double(tower):
     prof = PrecisionProfile.create(tower.p, 3, 4, 2, 2, degree=tower.degree)
     res = run_compare(tower, prof)
     assert res.verdict.agree, res.verdict.first_mismatch
-    assert doubling_check(tower, prof, base=res.trace) == (True, {})
+    # on the torus C_0 is C_1(p s); it must be det(1 - s psi_0) itself, at
+    # D and, resumed from it by the doubling check, at 2D
+    series = [(x.vals, x.prec) for x in res.trace.c0.coeffs]
+    assert series == [(x.vals, x.prec) for x in char_series(res.trace.m0, prof.smax).coeffs]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "char_series", lambda *args, fn=pipeline.char_series, **kw:
+                   seen.append(fn(*args, **kw)) or seen[-1])
+        assert doubling_check(tower, prof, base=res.trace) == (True, {})
+    whole = char_series(dwork.assemble_matrix(res.trace.ef, 0, prof.with_D(2 * prof.D)),
+                        prof.smax)
+    assert [(x.vals, x.prec) for x in seen[0].coeffs] == \
+        [(x.vals, x.prec) for x in whole.coeffs]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
