@@ -35,12 +35,24 @@ Both routes pack the matrix once with the Kronecker packer of `zp`: a
 coefficient vector becomes one big integer whose limbs have room for a
 whole row-times-column accumulation, so each matrix-vector step is a
 sum of big-integer products followed by one limb reduction.
+
+Rows of a nuclear matrix are divisible by growing powers of T, so each
+packed row is kept once, shifted down by its T-order v: the lowest limb
+that is nonzero in any of its entries, b for a zero row.  Every entry is
+known to one precision, so the sum over a row is
+sum_j x_j y_j = T^v sum_j x'_j (y_j mod T^(b-v)) mod T^b, exactly in value
+and in precision: the dot multiplies the shifted row, reduces b - v
+limbs and shifts the result back up.  Past schoolbook sizes
+(`KARATSUBA_BITS`) the vector is also cut mod T^(b-v), once for each run
+of rows of one T-order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .dwork import NuclearMatrix
 from .errors import CertificateError
@@ -83,17 +95,56 @@ class LFunctionSeries:
         return self.coeffs[k]
 
 
-def _packed_rows(M: NuclearMatrix, order=None) -> tuple[Packer, list[list[int]]]:
+def _packed_rows(M: NuclearMatrix, order=None) -> tuple[Packer, list[tuple[int, list[int]]]]:
     """The block of M on the indices `order` (default: all) with every
     entry packed, and the packer, whose limbs hold a whole row-times-column
-    accumulation of length N.  Every entry of M must carry one precision."""
+    accumulation of length N.  Every entry of M must carry one precision.
+
+    Each row is kept as (v, row / T^v), where v is the T-index of the
+    lowest nonzero limb among its entries (b for a zero row): the row
+    shifted down by T^v (`Packer.dot`)."""
     first = M.entries[0][0]
     uniform = (first.prec[0],) * first.b
     if any(e.prec != uniform for row in M.entries for e in row):
         raise CertificateError("matrix entries must carry uniform precision")
     pk = packer(first.p, first.b, uniform[0], M.size)
     block = M.entries if order is None else [[M.entries[v][u] for u in order] for v in order]
-    return pk, [[pk.pack(e) for e in row] for row in block]
+    rows = []
+    for row in block:
+        packed = [pk.pack(e) for e in row]
+        v = pk.t_order(reduce(or_, packed, 0))
+        rows.append((v, [x >> pk.beta * v for x in packed]))
+    return pk, rows
+
+
+# CPython multiplies integers below 70 digits of 30 bits by schoolbook,
+# where cutting a vector entry to fewer limbs saves about what the cut
+# costs: without the cut, char_series on the golden towers (packed entries
+# of 300 bits) ran 5-7% faster, equal at b = 32 and 40 on p = 7, f = x^3
+# (2300 and 3200 bits), and 10-15% slower at b = 48 and 64 (4100 and 6900
+# bits; Python 3.11 on a 2-core VM)
+KARATSUBA_BITS = 70 * 30
+
+
+def _dots(pk: Packer, rows, vec: Sequence[int]) -> list[int]:
+    """`Packer.dot` of each shifted row (v, x) with vec.  Past
+    KARATSUBA_BITS, vec is cut mod T^(b - v) once for each run of rows of
+    one T-order, the runs nuclear matrices come in; a zero row (v = b)
+    reads nothing of it."""
+    cut = pk.b * pk.beta > KARATSUBA_BITS
+    out, last, ys = [], 0, vec
+    for v, x in rows:
+        if v != last:
+            last = v
+            if v == pk.b:
+                ys = ()
+            elif cut and v:
+                low = pk.low(pk.b - v)
+                ys = [y & low for y in vec]
+            else:
+                ys = vec
+        out.append(pk.dot(x, ys, v))
+    return out
 
 
 def char_series(M: NuclearMatrix, smax: int,
@@ -127,18 +178,20 @@ def char_series(M: NuclearMatrix, smax: int,
         order = [*idx, *live] if live else []
         start, result = len(idx), list(done.coeffs)
     pk, rows = _packed_rows(M, order)
+    beta = pk.beta
     if result is None:
         result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
     for k in range(start, len(rows)):
         # the factor is 1 - sum_j g[j] s^(j+1): g = [a, R C, R M_k C, ...]
-        g = [pk.unpack(rows[k][k])]
+        vk, row = rows[k]
+        g = [pk.unpack(row[k] << beta * vk)]
         if k > 0:
-            vec = [rows[i][k] for i in range(k)]   # the bordering column
+            vec = [x[k] << beta * v for v, x in rows[:k]]   # the bordering column
             for j in range(1, smax):
+                # R M_k^(j-1) C, and M_k^j C while a later g needs it;
                 # zip stops at len(vec) = k: the leading k x k block
-                g.append(pk.unpack(pk.dot(rows[k], vec)))
-                if j < smax - 1:
-                    vec = [pk.dot(rows[i], vec) for i in range(k)]
+                *vec, rc = _dots(pk, rows[:k + 1] if j < smax - 1 else [rows[k]], vec)
+                g.append(pk.unpack(rc))
         # multiply by the factor in place; going down keeps result[< n] old
         for n in range(smax, 0, -1):
             acc = result[n]
@@ -156,19 +209,19 @@ def power_traces(M: NuclearMatrix, dmax: int) -> list[ZpTSeries]:
     A closed walk leaves every index it visits, so it visits only the
     live (nonzero) rows S, and tr(M^d) = tr(M_SS^d): only the principal
     block M_SS is packed, and M^(k+1)_SS = M_SS M^k_SS costs one dot per
-    pair of live indices.  tr(M^d) for d <= h sums the diagonal of M^d;
-    past h it pairs M^h with M^c, c = d - h <= h:
-    tr(M^(h+c)) = sum_i sum_j (M^h)_ij (M^c)_ji, one dot per live row.
-    Every entry is known to the same precision (`_packed_rows`) and each
-    dot reduces exactly mod p^w and T^b, so the traces equal those of the
-    iterated product in value and in precision."""
+    pair of live indices, each row of M_SS shifted down by its T-order.
+    tr(M^d) for d <= h sums the diagonal of M^d; past h it pairs M^h with
+    M^c, c = d - h <= h: tr(M^(h+c)) = sum_i sum_j (M^h)_ij (M^c)_ji, one
+    dot per live row.  Every entry is known to the same precision
+    (`_packed_rows`) and each dot reduces exactly mod p^w and T^b, so the
+    traces equal those of the iterated product in value and in precision."""
     live = [i for i, row in enumerate(M.entries) if not all(e.is_zero() for e in row)]
     pk, rows = _packed_rows(M, live)
     h = (dmax + 1) // 2
-    powers = [rows]                                        # M^k on S x S
+    powers = [[[x << pk.beta * v for x in row] for v, row in rows]]   # M^k on S x S
     for _ in range(h - 1):
-        cols = list(zip(*powers[-1]))
-        powers.append([[pk.dot(x, col) for col in cols] for x in rows])
+        cols = [_dots(pk, rows, col) for col in zip(*powers[-1])]
+        powers.append(list(zip(*cols)))
     traces = []
     for d in range(1, dmax + 1):
         if d <= h:

@@ -59,16 +59,18 @@ MAX_MATRIX_ROWS = 1280
 # (N, b) = (55, 50), (85, 80), (105, 100), about (N b)^3, and 7.3, 220 and
 # 246 s at (21, 150), (52, 200), (35, 300), about N^2.5 b^3.2; pi and E_f
 # alone (N = 3) took 14.4 and 37.4 s at b = 300 and 400.  At the limits
-# below, p = 2 took 18, 65 and 36 s at (210, 50), (46, 150), (26, 200), p = 3
-# 53 s at (105, 100), and p = 11 with f = x^3 4.9 s at (43, 120) (same host).
+# below, p = 2 took 18, 58 and 30 s at (210, 50), (46, 150), (26, 200), p = 3
+# 49 s at (105, 100), and p = 11 with f = x^3 1.6 s at (43, 120) (Python 3.11
+# on a 2-core VM whose speed drifts by 10-20% from run to run).
 MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
 
-# The fiber identity evaluates E_f at the p + p^2 points of degree <= 2 for
-# about 10 us of CPU per point x b^2: 0.75, 0.68, 0.82 ms per point at p = 31,
-# 101, 211 (b = 8) and 12, 131, 336, 1650 ms at (p, b) = (31, 32), (7, 120),
-# (3, 200), (2, 400); f = x^3 costs as f = x (same host).  The budget admits
-# p <= 389 at b = 8, whose selfcheck took 146 s, near the matrix limits' 160 s.
-FIBER_DEGREE, FIBER_BUDGET = 2, 10 ** 7
+# The fiber identity evaluates E_f once at each of the p + p^2 points of
+# degree <= 2, for 6 to 13 us of CPU per point x b^2: 0.53-0.80, 0.75-0.80 and
+# 0.67 ms per point at p = 31, 101 and 211 (b = 8), and 87-96 and 279-325 ms
+# at (p, b) = (7, 120) and (3, 200).  The budget admits p <= 439 at b = 8,
+# whose selfcheck took 154 s (p = 389: 105 s, p = 467: 178 s), near the
+# matrix limits' 160 s (Python 3.11 on a 2-core VM).
+FIBER_DEGREE, FIBER_BUDGET = 2, 12_500_000
 
 
 def check_job(command: str, tower: TowerInput, prof: PrecisionProfile) -> int:

@@ -100,9 +100,23 @@ class Packer:
     vector becomes one big integer with `beta`-bit limbs, T^j in limb j.
     Limbs have headroom for a sum of `nacc` products, so a series product,
     or a row-times-column accumulation of length nacc, needs a single limb
-    reduction at the end."""
+    reduction at the end.
 
-    __slots__ = ("p", "b", "w", "m", "beta", "mask")
+    `reduce` takes all limbs mod m = p^w at once (Barrett 1986).  The even
+    limbs, and apart from them the odd ones, each sit alone in a 2 beta-bit
+    slot.  A limb x < 2^beta times r = floor(2^beta / m) stays below
+    2^(2 beta), so one product x r of the whole half carries no bit from
+    slot to slot, and q = floor(x r / 2^beta) is the Barrett quotient of
+    every slot: x r / 2^beta lies in (x/m - 1, x/m], so q is floor(x/m) or
+    floor(x/m) - 1, and x - q m lies in [0, 2m).  One conditional
+    subtraction of m per slot finishes the reduction: adding 2^s - m, with
+    2^s > m, sets bit s of the slot exactly when x - q m >= m.
+
+    A row divisible by T^v is kept shifted down by T^v (`t_order`): its
+    products with a vector are needed mod T^(b - v) only, so `dot` reads
+    b - v limbs of them and shifts the sum back up."""
+
+    __slots__ = ("p", "b", "w", "m", "beta", "mask", "slots", "barrett")
 
     def __init__(self, p: int, b: int, w: int, nacc: int = 1):
         self.p, self.b, self.w = p, b, w
@@ -110,6 +124,12 @@ class Packer:
         top = b * max(nacc, 1) * (self.m - 1) ** 2
         self.beta = top.bit_length() + 1
         self.mask = (1 << self.beta) - 1
+        # for `reduce`: the b limbs, the even limbs, bit 0 and 2^s - m in
+        # each even slot
+        ones = sum(1 << (2 * self.beta * i) for i in range((b + 1) // 2))
+        self.slots = (self.low(b), ones * self.mask, ones,
+                      ones * ((1 << self.m.bit_length()) - self.m))
+        self.barrett = (1 << self.beta) // self.m
 
     def pack(self, s: "ZpTSeries") -> int:
         acc = 0
@@ -117,21 +137,39 @@ class Packer:
             acc = (acc << self.beta) | (s.vals[j] % self.m)
         return acc
 
-    def reduce(self, acc: int) -> int:
-        """Repack an accumulator with every limb reduced mod p^w."""
-        beta, mask, m = self.beta, self.mask, self.m
-        out = 0
-        for j in range(self.b - 1, -1, -1):
-            out = (out << beta) | (((acc >> (beta * j)) & mask) % m)
-        return out
+    def t_order(self, x: int) -> int:
+        """T-index of the lowest nonzero limb of x, b for x = 0."""
+        return ((x & -x).bit_length() - 1) // self.beta if x else self.b
 
-    def dot(self, xs, ys) -> int:
-        """Reduced packed sum of x * y over the pairs of xs and ys."""
+    def low(self, n: int) -> int:
+        """The mask of limbs 0..n-1: x & low(n) is x mod T^n."""
+        return (1 << self.beta * n) - 1
+
+    def reduce(self, acc: int, n: int | None = None) -> int:
+        """Repack the low n limbs (default: b) of an accumulator, each
+        reduced mod p^w; the limbs above are dropped."""
+        beta, m, r, s = self.beta, self.m, self.barrett, self.m.bit_length()
+        low, slots, ones, lift = self.slots
+        if n is not None and n < self.b:
+            low = self.low(n)
+            slots, ones, lift = slots & low, ones & low, lift & low
+        acc &= low
+        even, odd = acc & slots, (acc >> beta) & slots
+        even -= ((even * r >> beta) & slots) * m
+        even -= ((even + lift) >> s & ones) * m
+        odd -= ((odd * r >> beta) & slots) * m
+        odd -= ((odd + lift) >> s & ones) * m
+        return even | odd << beta
+
+    def dot(self, xs, ys, v: int = 0) -> int:
+        """Reduced packed sum of x * y over the pairs of xs and ys, where xs
+        is a row shifted down by T^v: only the sum mod T^(b - v) is read,
+        so ys may be cut to low(b - v), and it is shifted back up by T^v."""
         acc = 0
         for x, y in zip(xs, ys):
             if x:
                 acc += x * y
-        return self.reduce(acc)
+        return self.reduce(acc, self.b - v) << (self.beta * v)
 
     def unpack(self, acc: int, prec=None) -> "ZpTSeries":
         """The series in the limbs of acc, known to prec (default: w)."""

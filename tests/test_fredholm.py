@@ -157,7 +157,7 @@ def test_resumed_char_series_borders_near_zero_rows(monkeypatch, near_zero):
     block = char_series(raw_matrix(prof, [row[:3] for row in entries[:3]]), smax)
     dots = []
     dot = zp.Packer.dot
-    monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, *args: dots.append(1) or dot(self, *args))
     want = char_series(raw_matrix(prof, entries), smax)
     assert not same_series(want, char_series(raw_matrix(prof, zeroed), smax))
     dots.clear()
@@ -247,16 +247,21 @@ def dense_power_traces(entries, dmax):
 def test_power_traces_match_the_dense_product(data):
     # half the powers, live rows only and the paired reading give the
     # traces of the iterated dense product, in vals and in prec, with
-    # zero rows and rows zero on the diagonal only planted anywhere
+    # zero rows, rows zero on the diagonal only and rows divisible by T or
+    # T^(b-1), which the packer keeps shifted down, planted anywhere
     p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
     n = data.draw(st.integers(1, 8), label="n")
     dmax = data.draw(st.integers(1, 7), label="dmax")
-    b = data.draw(st.integers(1, 6), label="b")
+    b = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 64]), label="b")   # 64: cut columns
     zero_rows = data.draw(st.sets(st.sampled_from(range(n))), label="zero rows")
     hollow_rows = data.draw(st.sets(st.sampled_from(range(n))), label="hollow rows")
+    deep_rows = data.draw(st.dictionaries(st.sampled_from(range(n)), st.sampled_from([1, b - 1])),
+                          label="rows divisible by T^t")
     prof = profile(p=p, a=4, b=b)
     zero = ZpTSeries.zero(p, b, prof.work)
     entries = random_entries(p, b, prof.work, n, random.Random(data.draw(st.integers(0, 999))))
+    for v, t in deep_rows.items():
+        entries[v] = [ZpTSeries(p, b, (0,) * t + e.vals[t:], e.prec) for e in entries[v]]
     for v in hollow_rows:
         entries[v][v] = zero
     for v in zero_rows:
@@ -278,7 +283,7 @@ def test_power_traces_dot_only_the_nonzero_rows(monkeypatch, dmax):
     assert (m.size, live) == (32, [0, 1])
     dots = []
     dot = zp.Packer.dot
-    monkeypatch.setattr(zp.Packer, "dot", lambda self, xs, ys: dots.append(1) or dot(self, xs, ys))
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, *args: dots.append(1) or dot(self, *args))
     got = power_traces(m, dmax)
     assert len(dots) == len(live) * (len(live) * (h - 1) + dmax - h)
     want = dense_power_traces(m.entries, dmax)
