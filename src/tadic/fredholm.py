@@ -44,7 +44,12 @@ sum_j x_j y_j = T^v sum_j x'_j (y_j mod T^(b-v)) mod T^b, exactly in value
 and in precision: the dot multiplies the shifted row, reduces b - v
 limbs and shifts the result back up.  Past schoolbook sizes
 (`KARATSUBA_BITS`) the vector is also cut mod T^(b-v), once for each run
-of rows of one T-order.
+of rows of one T-order, and the bordering carries its Krylov vectors
+only as far as they can reach T^b: row k is divisible by T^(v_k), so
+g_j = T^(v_k) R' (M_k^(j-1) C mod T^(b - v_k)) mod T^b, and entry i of
+the next vector needs row i and the vector cut to b - v_k - v_i limbs,
+and no dot at all once v_k + v_i >= b.  The closing dot with R reads
+b - v_k limbs, as any dot does.
 """
 
 from __future__ import annotations
@@ -122,28 +127,42 @@ def _packed_rows(M: NuclearMatrix, order=None) -> tuple[Packer, list[tuple[int, 
 # costs: without the cut, char_series on the golden towers (packed entries
 # of 300 bits) ran 5-7% faster, equal at b = 32 and 40 on p = 7, f = x^3
 # (2300 and 3200 bits), and 10-15% slower at b = 48 and 64 (4100 and 6900
-# bits; Python 3.11 on a 2-core VM)
+# bits; Python 3.11 on a 2-core VM).  The same gate holds the Krylov cut
+# of char_series: on p = 7, f = x^3 at b = 64 (6912 bits) it halves the
+# dots (6151 to 2955) and cuts the slopes-deep benchmark's CPU by a
+# third.  Below the gate it would save CPU on the golden towers too
+# (304-376 bits), but their benchmark pass would then be too short for
+# its speed probe (ROADMAP item 1)
 KARATSUBA_BITS = 70 * 30
 
 
-def _dots(pk: Packer, rows, vec: Sequence[int]) -> list[int]:
-    """`Packer.dot` of each shifted row (v, x) with vec.  Past
-    KARATSUBA_BITS, vec is cut mod T^(b - v) once for each run of rows of
-    one T-order, the runs nuclear matrices come in; a zero row (v = b)
-    reads nothing of it."""
-    cut = pk.b * pk.beta > KARATSUBA_BITS
+def _dots(pk: Packer, rows, vec: Sequence[int], reach: int | None = None) -> list[int]:
+    """`Packer.dot` of each shifted row (v, x) with vec, the products
+    needed mod T^reach (default: b).  Below KARATSUBA_BITS every row reads
+    b - v limbs of the whole vec, and a zero row (v = b) none.  Past it
+    row v reads reach - v limbs, of a vec cut to as many once for each run
+    of rows of one T-order, the runs nuclear matrices come in, and gives
+    0 without a dot when v >= reach.  Cutting x to those limbs too is the
+    caller's, who does it once per row, not once per call."""
+    b = pk.b
     out, last, ys = [], 0, vec
+    if b * pk.beta <= KARATSUBA_BITS:
+        for v, x in rows:
+            if v != last:
+                last = v
+                ys = () if v == b else vec
+            out.append(pk.dot(x, ys, v))
+        return out
+    reach, last = b if reach is None else reach, None
     for v, x in rows:
-        if v != last:
-            last = v
-            if v == pk.b:
-                ys = ()
-            elif cut and v:
-                low = pk.low(pk.b - v)
-                ys = [y & low for y in vec]
-            else:
-                ys = vec
-        out.append(pk.dot(x, ys, v))
+        n = reach - v
+        if n <= 0:
+            out.append(0)
+            continue
+        if n != last:
+            last, low = n, pk.low(n)
+            ys = vec if n == b else [y & low for y in vec]
+        out.append(pk.dot(x, ys, v, n))
     return out
 
 
@@ -162,9 +181,10 @@ def char_series(M: NuclearMatrix, smax: int,
     and is 0 only when it is 0 to all of it.  The caller certifies that
     B is that block.
 
-    Without `base` every row is bordered in index order, zero or not:
-    the live-row selection at assembly time (ROADMAP items 1 and 3) is
-    to replace that path as a whole."""
+    Without `base` every row is bordered in index order, zero or not
+    (past KARATSUBA_BITS a zero row's border makes no dot).  Skipping the
+    zero rows there would shorten the golden towers' runs below the
+    benchmark's speed-probe floor, so it waits for ROADMAP item 1."""
     order, start, result = None, 0, None
     if base is not None:
         done, idx = base
@@ -178,20 +198,29 @@ def char_series(M: NuclearMatrix, smax: int,
         order = [*idx, *live] if live else []
         start, result = len(idx), list(done.coeffs)
     pk, rows = _packed_rows(M, order)
-    beta = pk.beta
+    b, beta = pk.b, pk.beta
+    cut = b * beta > KARATSUBA_BITS
     if result is None:
-        result = [ZpTSeries.one(pk.p, pk.b, pk.w)] + [ZpTSeries.zero(pk.p, pk.b, pk.w)] * smax
+        result = [ZpTSeries.one(pk.p, b, pk.w)] + [ZpTSeries.zero(pk.p, b, pk.w)] * smax
     for k in range(start, len(rows)):
         # the factor is 1 - sum_j g[j] s^(j+1): g = [a, R C, R M_k C, ...]
         vk, row = rows[k]
         g = [pk.unpack(row[k] << beta * vk)]
         if k > 0:
             vec = [x[k] << beta * v for v, x in rows[:k]]   # the bordering column
+            # R is divisible by T^vk, so the M_k^j C are needed mod
+            # T^(b - vk) only: past KARATSUBA_BITS row v is cut to the
+            # b - vk - v limbs of it that `_dots` reads
+            krylov = rows[:k]
+            if cut and vk:
+                krylov = [(v, [x & pk.low(b - vk - v) for x in xs[:k]] if v + vk < b else ())
+                          for v, xs in krylov]
             for j in range(1, smax):
                 # R M_k^(j-1) C, and M_k^j C while a later g needs it;
                 # zip stops at len(vec) = k: the leading k x k block
-                *vec, rc = _dots(pk, rows[:k + 1] if j < smax - 1 else [rows[k]], vec)
-                g.append(pk.unpack(rc))
+                g.append(pk.unpack(_dots(pk, rows[k:k + 1], vec)[0]))
+                if j < smax - 1:
+                    vec = _dots(pk, krylov, vec, b - vk)
         # multiply by the factor in place; going down keeps result[< n] old
         for n in range(smax, 0, -1):
             acc = result[n]

@@ -59,9 +59,11 @@ MAX_MATRIX_ROWS = 1280
 # (N, b) = (55, 50), (85, 80), (105, 100), about (N b)^3, and 7.3, 220 and
 # 246 s at (21, 150), (52, 200), (35, 300), about N^2.5 b^3.2; pi and E_f
 # alone (N = 3) took 14.4 and 37.4 s at b = 300 and 400.  At the limits
-# below, p = 2 took 18, 58 and 30 s at (210, 50), (46, 150), (26, 200), p = 3
-# 49 s at (105, 100), and p = 11 with f = x^3 1.6 s at (43, 120) (Python 3.11
-# on a 2-core VM whose speed drifts by 10-20% from run to run).
+# below, p = 2 took 5.3, 36-37 and 22-25 s at (210, 50), (46, 150), (26, 200),
+# p = 3 10 s at (105, 100), and p = 11 with f = x^3 0.83 s at (43, 120) with
+# its doubling check; with the Krylov vectors of char_series uncut, 11, 43-44,
+# 22-24, 43 and 1.6 s (Python 3.11 on a 2-core VM whose speed drifts by
+# 10-20% from run to run).
 MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
 
 # The fiber identity evaluates E_f once at each of the p + p^2 points of

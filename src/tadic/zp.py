@@ -114,7 +114,8 @@ class Packer:
 
     A row divisible by T^v is kept shifted down by T^v (`t_order`): its
     products with a vector are needed mod T^(b - v) only, so `dot` reads
-    b - v limbs of them and shifts the sum back up."""
+    b - v limbs of them, or the fewer its caller asks for, and shifts the
+    sum back up."""
 
     __slots__ = ("p", "b", "w", "m", "beta", "mask", "slots", "barrett")
 
@@ -161,15 +162,16 @@ class Packer:
         odd -= ((odd + lift) >> s & ones) * m
         return even | odd << beta
 
-    def dot(self, xs, ys, v: int = 0) -> int:
+    def dot(self, xs, ys, v: int = 0, n: int | None = None) -> int:
         """Reduced packed sum of x * y over the pairs of xs and ys, where xs
-        is a row shifted down by T^v: only the sum mod T^(b - v) is read,
-        so ys may be cut to low(b - v), and it is shifted back up by T^v."""
+        is a row shifted down by T^v: only the sum mod T^n is read (default
+        n = b - v, all that can reach T^b), so xs and ys may be cut to
+        low(n), and it is shifted back up by T^v."""
         acc = 0
         for x, y in zip(xs, ys):
             if x:
                 acc += x * y
-        return self.reduce(acc, self.b - v) << (self.beta * v)
+        return self.reduce(acc, self.b - v if n is None else n) << (self.beta * v)
 
     def unpack(self, acc: int, prec=None) -> "ZpTSeries":
         """The series in the limbs of acc, known to prec (default: w)."""

@@ -1,15 +1,18 @@
 """The packed kernel of the trace route: the limb-parallel reduction of
-`zp.Packer` and the rows `fredholm._packed_rows` keeps shifted down by
-their T-order.  Derandomized, and free of Hypothesis, so that every
-supported Python runs them with pytest alone."""
+`zp.Packer`, the rows `fredholm._packed_rows` keeps shifted down by
+their T-order, and the Krylov vectors `char_series` cuts to the T-digits
+their border row can reach.  Derandomized, and free of Hypothesis, so
+that every supported Python runs them with pytest alone."""
 
 import random
 
 import pytest
 
-from tadic.dwork import NuclearMatrix
+from tadic import fredholm, zp
+from tadic.dwork import NuclearMatrix, assemble_matrix
 from tadic.fredholm import KARATSUBA_BITS, _packed_rows, char_series
 from tadic.profile import PrecisionProfile
+from tadic.splitting import TowerInput, build_Ef
 from tadic.xseries import Geometry
 from tadic.zp import Packer, ZpTSeries, ppow
 
@@ -94,16 +97,18 @@ def planted_entries(p, b, w, orders, rng):
 @pytest.mark.parametrize("b", [1, 3, 8, 64])
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_shifted_rows_match_the_unshifted_bordering(p, b, seed):
-    # rows divisible by T^0, T^1, T^(b-1) and T^b (zero), each at least
-    # once, in random order, fresh and resumed past a random base block:
-    # equal vals and prec; at b = 64 the vectors are cut mod T^(b-v) too
+    # rows divisible by T^0, T^1, T^(b/2 - 1), T^(b/2), T^(b/2 + 1),
+    # T^(b-1) and T^b (zero), each at least once, in random order, fresh
+    # and resumed past a random base block: equal vals and prec; at b = 64
+    # the Krylov vectors of border k are cut mod T^(b - v_k), and
+    # v_k + v_i reaches b - 1, b and b + 1
     rng = random.Random(100 * p + 10 * b + seed)
-    orders = [0, 1, b - 1, b] + rng.choices([0, 1, b - 1, b], k=rng.randint(0, 2))
+    levels = sorted({0, 1, b // 2 - 1, b // 2, b // 2 + 1, b - 1, b} & set(range(b + 1)))
+    orders = levels + rng.choices(levels, k=rng.randint(0, 2))
     rng.shuffle(orders)
     n = len(orders)
     smax = (n + 1, 3, n)[seed]
     prof = PrecisionProfile.create(p, 4, b, smax, 4)
-    orders = [rng.choice([0, 1, b - 1, b]) for _ in range(n)]
     entries = planted_entries(p, b, prof.work, orders, rng)
     m = matrix(prof, entries)
     pk, rows = _packed_rows(m)
@@ -115,3 +120,53 @@ def test_shifted_rows_match_the_unshifted_bordering(p, b, seed):
     block = char_series(matrix(prof, [[entries[v][u] for u in idx] for v in idx]), smax)
     resumed = char_series(m, smax, base=(block, idx))
     assert [(c.vals, c.prec) for c in resumed.coeffs] == want
+
+
+@pytest.fixture(scope="module")
+def slopes_deep_psi():
+    """psi_0 and psi_1 of p = 7, f = x^3 at b = 64, D = 38, smax = 6: the
+    slope run of the benchmark, whose packed entries (6912 bits) are past
+    KARATSUBA_BITS."""
+    p, b, d = 7, 64, 3
+    prof = PrecisionProfile.create(p, 6, b, 6, 1, degree=d, D=38)
+    ef = build_Ef(TowerInput(p, Geometry.AFFINE_LINE, {d: 1}), prof)
+    return prof, [assemble_matrix(ef, i, prof) for i in (0, 1)]
+
+
+def series(c):
+    return [(x.vals, x.prec) for x in c.coeffs]
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_cut_krylov_vectors_match_the_uncut_path(monkeypatch, slopes_deep_psi, i):
+    # the same call with KARATSUBA_BITS above the entry size runs every
+    # dot on whole vectors; fresh, and resumed past the even rows below 24
+    # (so the bordered rows are not in order of T-order): equal vals and prec
+    prof, psi = slopes_deep_psi
+    m, smax = psi[i], prof.smax
+    pk = _packed_rows(m)[0]
+    assert pk.b * pk.beta > KARATSUBA_BITS
+    idx = list(range(0, 24, 2))
+    sub = matrix(prof, [[m.entries[v][u] for u in idx] for v in idx])
+    cut = char_series(m, smax)
+    cut_resumed = char_series(m, smax, base=(char_series(sub, smax), idx))
+    monkeypatch.setattr(fredholm, "KARATSUBA_BITS", pk.b * pk.beta)
+    assert series(cut) == series(char_series(m, smax))
+    assert series(cut_resumed) == series(char_series(m, smax, base=(char_series(sub, smax), idx)))
+
+
+def test_cut_krylov_vectors_dot_only_the_reachable_rows(monkeypatch, slopes_deep_psi):
+    # border k makes one dot per row i < k with v_i + v_k < b at each of
+    # its smax - 2 Krylov steps, and its smax - 1 closing dots with R when
+    # v_k < b; a row past that reach needs no T-digit of the vector
+    prof, psi = slopes_deep_psi
+    b, smax = prof.b, prof.smax
+    orders = [v for v, _ in _packed_rows(psi[1])[1]]
+    assert b in orders   # zero rows, bordered on the fresh path
+    want = sum((smax - 2) * sum(v + vk < b for v in orders[:k]) + (smax - 1) * (vk < b)
+               for k, vk in enumerate(orders) if k)
+    dots = []
+    dot = zp.Packer.dot
+    monkeypatch.setattr(zp.Packer, "dot", lambda self, *args: dots.append(1) or dot(self, *args))
+    char_series(psi[1], smax)
+    assert len(dots) == want
