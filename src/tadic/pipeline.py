@@ -39,7 +39,7 @@ from .splitting import (
     fiber_character_value,
     norm_of_ef_at_orbit,
 )
-from .unramified import teichmuller_powers
+from .unramified import frobenius_orbits, teichmuller_powers
 from .xseries import Geometry
 from .zp import ZpTSeries, ppow, vp_int
 
@@ -66,12 +66,13 @@ MAX_MATRIX_ROWS = 1280
 # 10-20% from run to run).
 MAX_MATRIX_WORK, MAX_PREC_T = 1_050_000, 400
 
-# The fiber identity evaluates E_f once at each of the p + p^2 points of
-# degree <= 2, for 6 to 13 us of CPU per point x b^2: 0.53-0.80, 0.75-0.80 and
-# 0.67 ms per point at p = 31, 101 and 211 (b = 8), and 87-96 and 279-325 ms
-# at (p, b) = (7, 120) and (3, 200).  The budget admits p <= 439 at b = 8,
-# whose selfcheck took 154 s (p = 389: 105 s, p = 467: 178 s), near the
-# matrix limits' 160 s (Python 3.11 on a 2-core VM).
+# The fiber identity forms one norm of E_f per Frobenius orbit and one
+# character per point, at each of the p + p^2 points of degree <= 2: 0.11-0.13
+# ms of CPU per point at p = 31, 101 and 211 (b = 8), about 2 us per point x
+# b^2, and 4.3-5.0 and 18-23 ms at (p, b) = (7, 120) and (3, 200), under 0.6 us.
+# The points x b^2 rule is conservative, since the packed norm grows more
+# slowly than b^2.  The budget admits p <= 439 at b = 8, whose selfcheck took
+# 40 s (Python 3.11 on a 2-core VM).
 FIBER_DEGREE, FIBER_BUDGET = 2, 12_500_000
 
 
@@ -320,35 +321,22 @@ def _check_route_agreement(run: TraceFormulaRun) -> tuple[bool, str]:
                         f"mismatch at {cmp_.first_mismatch}, v_p {cmp_.mismatch_vp}")
 
 
-def _frobenius_orbits(p: int, order: int):
-    """The orbits {k, p k, p^2 k, ...} that partition Z/order, in order."""
-    seen = bytearray(order)
-    for k in range(order):
-        orbit = []
-        while not seen[k]:
-            seen[k] = 1
-            orbit.append(k)
-            k = k * p % order
-        if orbit:
-            yield orbit
-
-
 def _check_fiber_identity(run: TraceFormulaRun) -> tuple[bool, str]:
     """Dwork's splitting lemma at every point of degree d <= FIBER_DEGREE:
     the q - 1 powers g^k of one Teichmuller generator per degree, and 0 on
-    the affine line.  The points are visited orbit by orbit, and the norms
-    on one orbit share their evaluations of E_f, so E_f is evaluated once
-    per point and only one orbit's evaluations are held at a time."""
+    the affine line.  The points are visited orbit by orbit; the norm of an
+    orbit is formed once, at its least element, and compared with the
+    character at every point k p^i of the orbit."""
     tower, prof = run.tower, run.prof
-    zero = [] if tower.geometry is Geometry.TORUS else [[None]]
+    zero = [] if tower.geometry is Geometry.TORUS else [(None, 1)]
     for d in range(1, FIBER_DEGREE + 1):
         points = list(teichmuller_powers(prof.p, d, prof))
-        for orbit in chain(zero, _frobenius_orbits(prof.p, len(points))):
-            evaluations: dict = {}
-            for k in orbit:
-                lhs = norm_of_ef_at_orbit(run.ef, points, k, evaluations)
+        for leader, size in chain(zero, frobenius_orbits(prof.p, len(points))):
+            lhs = norm_of_ef_at_orbit(run.ef, points, leader).reduced(prof.a)
+            for i in range(size):
+                k = None if leader is None else leader * ppow(prof.p, i) % len(points)
                 rhs = fiber_character_value(tower, points, k, prof)
-                if not lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)):
+                if not lhs.agrees_with(rhs.reduced(prof.a)):
                     return False, f"degree {d} point {'0' if k is None else f'g^{k}'}"
     return True, ""
 

@@ -30,7 +30,7 @@ from .fredholm import LFunctionSeries, l_from_traces
 from .profile import PrecisionProfile
 from .splitting import TowerInput
 # bench/spans.py wraps teichmuller_lift under this module's name too
-from .unramified import teichmuller_lift, teichmuller_powers, unramified_trace  # noqa: F401
+from .unramified import frobenius_orbits, teichmuller_lift, teichmuller_powers, unramified_trace  # noqa: F401
 from .xseries import Geometry
 from .zp import ZpTSeries, one_plus_T_pow, ppow, teichmuller_int
 
@@ -74,24 +74,6 @@ def _generator_traces(p: int, d: int, prof: PrecisionProfile) -> list[int]:
     return tr
 
 
-def _frobenius_orbits(p: int, order: int) -> list[tuple[int, int]]:
-    """(least element, size) of each orbit {k, p k, p^2 k, ...} mod order."""
-    seen = bytearray(order)
-    orbits = []
-    for k in range(order):
-        if seen[k]:
-            continue
-        size, j = 0, k
-        while not seen[j]:
-            seen[j] = 1
-            size += 1
-            j = j * p % order
-        orbits.append((k, size))
-    if sum(size for _, size in orbits) != order:
-        raise CertificateError(f"Frobenius orbits do not partition Z/{order}")
-    return orbits
-
-
 def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     """The degree-d exponential sum: sum over points x in F_{p^d} (without
     0 on the torus) of (1+T)^(Tr f(x_hat))."""
@@ -108,7 +90,7 @@ def exp_sum(tower: TowerInput, d: int, prof: PrecisionProfile) -> ZpTSeries:
     m = ppow(p, w)
     # x = 0 lies on the affine line only, and f(0) = 0 there
     weights = Counter() if torus else Counter({0: 1})
-    for k, size in _frobenius_orbits(p, order):
+    for k, size in frobenius_orbits(p, order):
         weights[sum(c * tr[k * u % order] for u, c in terms) % m] += size
     acc = ZpTSeries.zero(p, prof.b, w)
     for t, n in weights.items():

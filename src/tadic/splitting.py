@@ -10,9 +10,10 @@ operator matrices nuclear; that decay is checked here as a certificate.
 Dwork's splitting lemma ties E_f to the exponential sums: at a Teichmuller
 point x_hat of F_q, the product of E_f over the Frobenius orbit of x_hat is
 (1+T)^(Tr f(x_hat)).  `norm_of_ef_at_orbit` and `fiber_character_value`
-compute the two sides.  Their points are those of
-`unramified.teichmuller_powers`: the point g^k is given by its index k
-(None for 0), so no point is lifted on its own.
+compute the two sides.  E_f at a point is its d coordinate series in
+Z_p[[T]], multiplied in Z_p[[T]][x]/(m) by the packed T-series product.
+The points are those of `unramified.teichmuller_powers`: the point g^k
+is given by its index k (None for 0), so no point is lifted on its own.
 """
 
 from __future__ import annotations
@@ -155,62 +156,59 @@ def build_Ef(tower: TowerInput, prof: PrecisionProfile,
 # fiber identities -----------------------------------------------------------
 
 def evaluate_ef_at_point(ef: SplittingFunction, points: Sequence[UnramifiedApprox],
-                         k: int | None) -> list[UnramifiedApprox]:
-    """E_f at the Teichmuller point g^k: a T-expansion with coefficients in
-    the unramified ring.  Entry j is the T^j coefficient.  The points and
+                         k: int | None) -> list[ZpTSeries]:
+    """E_f at the Teichmuller point g^k as its d coordinate series in
+    Z_p[[T]]: coordinate i is sum_u [x^i](g^(k u)) E_f[u].  The points and
     every coefficient of E_f must be known to the same precision."""
-    b = ef.profile.b
+    p, b = ef.profile.p, ef.profile.b
     known = points[0].known
-    out = [points[0] * 0] * b
+    out = [[0] * b for _ in range(points[0].degree)]
     for u, c in ef.series.coeffs.items():
         if any(n != known for n in c.prec):
             raise CertificateError(f"E_f coefficient x^{u} is not known to "
                                    f"the {known} digits of the point")
-        xu = _monomial_at(points, k, u)
-        for j in range(b):
-            if c.vals[j]:
-                out[j] = out[j] + xu * c.vals[j]
-    return out
+        for acc, a in zip(out, _monomial_at(points, k, u).coords):
+            if a:
+                for j, v in enumerate(c.vals):
+                    acc[j] += a * v
+    return [ZpTSeries(p, b, acc, (known,) * b) for acc in out]
 
 
-def _mul_unram_tseries(a, b_, width):
-    zero = a[0] - a[0]
-    out = [zero for _ in range(width)]
-    for i in range(width):
-        for j in range(width - i):
-            out[i + j] = out[i + j] + a[i] * b_[j]
-    return out
+def _mul_coordinates(x: list[ZpTSeries], y: list[ZpTSeries],
+                     modulus: tuple[int, ...]) -> list[ZpTSeries]:
+    """Product in Z_p[[T]][x]/(modulus) of two coordinate vectors: packed
+    T-series products, then reduction by the monic modulus."""
+    d = len(modulus) - 1
+    out = [x[0].scale(0)] * (2 * d - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] = out[i + j] + xi * yj
+    for top in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            out[top - d + j] = out[top - d + j] - out[top].scale(modulus[j])
+    return out[:d]
 
 
 def norm_of_ef_at_orbit(ef: SplittingFunction, points: Sequence[UnramifiedApprox],
-                        k: int | None, evaluations: dict | None = None) -> ZpTSeries:
+                        k: int | None) -> ZpTSeries:
     """Product of E_f over the Frobenius orbit of the point g^k: E_f at the
-    conjugates g^(k p^i), i < d, whose product lands in Z_p[[T]].
-
-    `evaluations` maps a point index to E_f there: the norms at the points
-    of one orbit share one such dict, so E_f is evaluated once per point
-    of the orbit, not once per conjugate of each."""
-    prof = ef.profile
-    p, b = prof.p, prof.b
-    order = len(points)
-    if evaluations is None:
-        evaluations = {}
+    conjugates g^(k p^i), i < d, whose product lands in Z_p[[T]].  Each
+    distinct conjugate is evaluated once, so an orbit shorter than d costs
+    one evaluation per point of it."""
+    p, a = ef.profile.p, ef.profile.a
+    modulus = points[0].modulus
+    evaluations: dict = {}
     prod = None
     for i in range(points[0].degree):
-        conj = None if k is None else k * ppow(p, i) % order
-        val = evaluations.get(conj)
-        if val is None:
-            val = evaluations[conj] = evaluate_ef_at_point(ef, points, conj)
-        prod = val if prod is None else _mul_unram_tseries(prod, val, b)
+        conj = None if k is None else k * ppow(p, i) % len(points)
+        if conj not in evaluations:
+            evaluations[conj] = evaluate_ef_at_point(ef, points, conj)
+        val = evaluations[conj]
+        prod = val if prod is None else _mul_coordinates(prod, val, modulus)
     # the orbit product is Galois stable; higher coordinates must vanish
-    vals = []
-    for j in range(b):
-        coords = prod[j].coords
-        for extra in coords[1:]:
-            if extra % p ** prof.a != 0:
-                raise CertificateError("orbit norm left the base ring")
-        vals.append(coords[0])
-    return ZpTSeries(p, b, vals, (prod[0].known,) * b)
+    if any(v % ppow(p, a) for extra in prod[1:] for v in extra.vals):
+        raise CertificateError("orbit norm left the base ring")
+    return prod[0]
 
 
 def fiber_character_value(tower: TowerInput, points: Sequence[UnramifiedApprox],

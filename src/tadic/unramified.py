@@ -19,7 +19,8 @@ The nonzero Teichmuller points of F_q form the cyclic group mu_(q-1), so
 `teichmuller_powers` gives all of them as the powers g^0, ..., g^(q-2) of
 one lifted generator g, the lift of the root of the default modulus.  A
 point is then an index k, and x^u at g^k is g^(k u mod (q-1)), negative u
-included; its Frobenius conjugates are g^(k p^i).
+included; its Frobenius conjugates are g^(k p^i).  `frobenius_orbits`
+walks the orbits of the indices, one (least element, size) per orbit.
 """
 
 from __future__ import annotations
@@ -223,6 +224,25 @@ def teichmuller_powers(p: int, d: int, prof):
         power = power * g
     if power.coords != one.coords:
         raise CertificateError(f"Teichmuller generator: g^{order} != 1 mod {p}^{w}")
+
+
+def frobenius_orbits(p: int, order: int) -> list[tuple[int, int]]:
+    """(least element, size) of each orbit {k, p k, p^2 k, ...} mod order,
+    in increasing order of least element, certified to partition Z/order."""
+    seen = bytearray(order)
+    orbits = []
+    for k in range(order):
+        if seen[k]:
+            continue
+        size, j = 0, k
+        while not seen[j]:
+            seen[j] = 1
+            size += 1
+            j = j * p % order
+        orbits.append((k, size))
+    if sum(size for _, size in orbits) != order:
+        raise CertificateError(f"Frobenius orbits do not partition Z/{order}")
+    return orbits
 
 
 @lru_cache(maxsize=None)

@@ -294,23 +294,55 @@ def test_selfcheck_lifts_once_per_degree(monkeypatch):
 
 @pytest.mark.parametrize("geometry", list(Geometry))
 def test_fiber_identity_evaluates_ef_once_per_point(monkeypatch, geometry):
-    # the norms over an orbit share their evaluations of E_f: one per
-    # point, q - 1 of degree d on the torus and 0 besides on the affine
-    # line, not one per conjugate of each point (d per point)
-    calls = Counter()
-    evaluate = splitting.evaluate_ef_at_point
+    # one norm per Frobenius orbit, and one at 0 on the affine line; one
+    # evaluation of E_f and one character per point, q - 1 of degree d on
+    # the torus and 0 besides on the affine line, not an evaluation per
+    # conjugate of each point (d per point)
+    evaluations, norms, characters = Counter(), Counter(), Counter()
 
-    def spy(ef, points, k):
-        calls[points[0].degree] += 1
-        return evaluate(ef, points, k)
+    def counted(calls, fn):
+        def spy(*args):
+            calls[args[1][0].degree] += 1
+            return fn(*args)
+        return spy
 
-    monkeypatch.setattr(splitting, "evaluate_ef_at_point", spy)
+    monkeypatch.setattr(splitting, "evaluate_ef_at_point",
+                        counted(evaluations, splitting.evaluate_ef_at_point))
+    monkeypatch.setattr(pipeline, "norm_of_ef_at_orbit",
+                        counted(norms, pipeline.norm_of_ef_at_orbit))
+    monkeypatch.setattr(pipeline, "fiber_character_value",
+                        counted(characters, pipeline.fiber_character_value))
     p = 5
     run = run_trace_formula(TowerInput(p, geometry, {2: 1, 1: 3}),
                             profile(p=p, a=4, b=4, smax=2, dmax=2, degree=2))
     assert _check_fiber_identity(run) == (True, "")
     torus = geometry is Geometry.TORUS
-    assert calls == {d: p ** d - torus for d in range(1, FIBER_DEGREE + 1)}
+    degrees = range(1, FIBER_DEGREE + 1)
+    orbits = {d: len({min(k * p ** i % (p ** d - 1) for i in range(d))
+                      for k in range(p ** d - 1)}) for d in degrees}
+    assert orbits == {1: 4, 2: 14}
+    assert norms == {d: orbits[d] + (not torus) for d in degrees}
+    assert evaluations == characters == {d: p ** d - torus for d in degrees}
+
+
+def test_fiber_identity_compares_the_character_at_every_point(monkeypatch):
+    # a fault in the character at g^5, which is not the least element of
+    # its degree-2 orbit {1, 5} at p = 5, fails the check and is named
+    p = 5
+    prof = profile(p=p, a=4, b=4, smax=2, dmax=2, degree=2)
+    tower = TowerInput(p, Geometry.AFFINE_LINE, {2: 1, 1: 3})
+    run = SimpleNamespace(tower=tower, prof=prof, ef=build_Ef(tower, prof))
+    assert _check_fiber_identity(run) == (True, "")
+    character = pipeline.fiber_character_value
+
+    def planted(tower, points, k, prof):
+        val = character(tower, points, k, prof)
+        if points[0].degree == 2 and k == 5:
+            val = val + ZpTSeries.one(p, prof.b, prof.work)
+        return val
+
+    monkeypatch.setattr(pipeline, "fiber_character_value", planted)
+    assert _check_fiber_identity(run) == (False, "degree 2 point g^5")
 
 
 def test_fiber_identity_check_names_the_failing_point():

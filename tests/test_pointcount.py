@@ -152,7 +152,7 @@ def test_budget_refuses_before_building_a_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("a trace table was built over budget")
     monkeypatch.setattr(pointcount, "_generator_traces", refuse)
-    monkeypatch.setattr(pointcount, "_frobenius_orbits", refuse)
+    monkeypatch.setattr(pointcount, "frobenius_orbits", refuse)
     d = 1
     while 2 ** d <= pointcount.POINT_BUDGET:
         d += 1

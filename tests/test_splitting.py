@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from tadic.errors import UsageError
+from tadic import splitting
+from tadic.errors import CertificateError, UsageError
 from tadic.profile import PrecisionProfile
 from tadic.series import pi_from_T
 from tadic.splitting import (
@@ -16,6 +17,7 @@ from tadic.splitting import (
 )
 from tadic.unramified import teichmuller_powers
 from tadic.xseries import Geometry
+from tadic.zp import ZpTSeries
 
 
 def profile(p=2, a=6, b=8, smax=4, dmax=4):
@@ -148,3 +150,77 @@ def test_fiber_identity_low_degree_points(p, geom, f):
             rhs = fiber_character_value(tower, points, k, prof)
             assert lhs.reduced(prof.a).agrees_with(rhs.reduced(prof.a)), (
                 p, geom, d, k)
+
+
+def ring_values(ef, points, ks):
+    """E_f at each point g^k, k in ks, as a list of ring elements, one per
+    power of T."""
+    zero = points[0] * 0
+    out = {}
+    for k in ks:
+        val = [zero] * ef.profile.b
+        for u, c in ef.series.coeffs.items():
+            if k is None:
+                xu = points[0] if u == 0 else zero
+            else:
+                xu = points[k * u % len(points)]
+            val = [acc + xu * cj for acc, cj in zip(val, c.vals)]
+        out[k] = val
+    return out
+
+
+def reference_norm(values, k, prof, d):
+    """The norm over the orbit of g^k from the `ring_values`, multiplied by
+    the schoolbook product of lists of ring elements: a reference that
+    shares no product with the coordinate series of `norm_of_ef_at_orbit`."""
+    p, a = prof.p, prof.a
+    order = p ** d - 1
+    zero = values[k][0] * 0
+    prod = values[k]
+    for i in range(1, d):
+        val = values[None if k is None else k * p ** i % order]
+        prod = [sum((prod[j] * val[n - j] for j in range(n + 1)), zero)
+                for n in range(prof.b)]
+    assert all(c % p ** a == 0 for t in prod for c in t.coords[1:])
+    return ZpTSeries(p, prof.b, [t.coords[0] for t in prod], (prod[0].known,) * prof.b)
+
+
+@pytest.mark.parametrize("b", [6, 40])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("geom,f", [
+    (Geometry.AFFINE_LINE, {2: 1, 1: 2}),
+    (Geometry.TORUS, {1: 1, -2: 2}),
+])
+def test_norm_matches_the_ring_element_product(geom, f, d, b):
+    # at p = 3 every point is checked, g^0 and 0 included; the orbits {4}
+    # (d = 2) and {13} (d = 3) are also shorter than d
+    p = 3
+    prof = profile(p=p, a=4, b=b)
+    ef = build_Ef(TowerInput(p, geom, f), prof)
+    points, ks = fiber_points(p, d, geom, prof)
+    values = ring_values(ef, points, ks)
+    for k in ks:
+        lhs = norm_of_ef_at_orbit(ef, points, k)
+        ref = reference_norm(values, k, prof, d)
+        assert (lhs.vals, lhs.prec) == (ref.vals, ref.prec), (geom, d, b, k)
+
+
+def test_orbit_norm_must_stay_in_the_base_ring(monkeypatch):
+    # a unit planted in coordinate 1 of E_f at g^2, a conjugate of the
+    # degree-2 point g^1 (p = 2, orbit {1, 2}), leaves the norm outside
+    # Z_p[[T]]
+    prof = profile(p=2, a=5, b=6)
+    ef = build_Ef(TowerInput(2, Geometry.AFFINE_LINE, {1: 1}), prof)
+    points = list(teichmuller_powers(2, 2, prof))
+    norm_of_ef_at_orbit(ef, points, 1)
+    evaluate = splitting.evaluate_ef_at_point
+
+    def planted(ef, points, k):
+        val = evaluate(ef, points, k)
+        if k == 2:
+            val[1] = val[1] + ZpTSeries.one(2, prof.b, prof.work)
+        return val
+
+    monkeypatch.setattr(splitting, "evaluate_ef_at_point", planted)
+    with pytest.raises(CertificateError, match="left the base ring"):
+        norm_of_ef_at_orbit(ef, points, 1)

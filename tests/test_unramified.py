@@ -11,6 +11,7 @@ from tadic.unramified import (
     UnramifiedApprox,
     default_modulus,
     field_elements,
+    frobenius_orbits,
     is_primitive_mod_p,
     teichmuller_lift,
     teichmuller_powers,
@@ -201,3 +202,21 @@ def test_field_elements_enumeration():
     assert len(elems) == 8
     assert len(set(elems)) == 8
     assert elems[0] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_frobenius_orbits_partition_the_indices(p, d):
+    # each orbit {k, p k, p^2 k, ...} of Z/(q - 1) is given by its least
+    # element and its size, which divides d since p^d = 1 mod q - 1,
+    # in increasing order of least element
+    order = p ** d - 1
+    orbits = frobenius_orbits(p, order)
+    assert [leader for leader, _ in orbits] == sorted(leader for leader, _ in orbits)
+    covered = []
+    for leader, size in orbits:
+        orbit = [leader * p ** i % order for i in range(size)]
+        assert len(set(orbit)) == size and d % size == 0
+        assert leader * p ** size % order == leader
+        assert min(orbit) == leader
+        covered += orbit
+    assert sorted(covered) == list(range(order))
